@@ -1,83 +1,115 @@
 package engine
 
-import "rangeagg/internal/build"
+import (
+	"time"
 
-// dirtyWindow accumulates the value range mutated since a synopsis was
-// last built. Engines keep one per rebuild-capable synopsis (methods
-// with a registry Rebuild hook): point mutations widen the window,
-// bulk operations (Load, shard absorption) mark everything, and the
-// build path captures-and-resets the window under the same lock as the
-// counts snapshot, so a window always describes exactly the mutations
-// the snapshot contains.
-type dirtyWindow struct {
-	any, all bool
-	lo, hi   int
+	"rangeagg/internal/build"
+)
+
+// Watch is a dirty window the engine keeps for a consumer that builds
+// from its data outside BuildSynopsis — a serving layer. Every mutation
+// marks every registered watch, so a consumer never works out a write's
+// span itself, and two consumers never take each other's marks. Its
+// fields are guarded by the engine's lock.
+type Watch struct {
+	e   *Engine
+	win build.Window
+	// dirtyAt is when the oldest mark not yet captured landed (unix
+	// nanos, 0 = none): the consumer's staleness clock.
+	dirtyAt int64
 }
 
-func (w *dirtyWindow) markValue(v int) {
-	if w.all {
-		return
-	}
-	if !w.any {
-		w.any, w.lo, w.hi = true, v, v
-		return
-	}
-	if v < w.lo {
-		w.lo = v
-	}
-	if v > w.hi {
-		w.hi = v
+// Capture is one coherent read of the engine for a consumer's build:
+// the COUNT series, its data version, the window of mutations since the
+// previous capture and the approx cutover full builds use, all taken
+// under one lock.
+type Capture struct {
+	Counts  []int64
+	Version int64
+	Window  build.Window
+	Cutover int
+	dirtyAt int64
+}
+
+// Watch registers a new consumer window, clean as of now.
+func (e *Engine) Watch() *Watch {
+	w := &Watch{e: e}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.watches[w] = struct{}{}
+	return w
+}
+
+// Close unregisters the window: the engine stops marking it.
+func (w *Watch) Close() {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	delete(w.e.watches, w)
+}
+
+// Capture takes the window, resetting it, together with the engine
+// state a build reads, under one engine lock.
+func (w *Watch) Capture() Capture {
+	e := w.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c := Capture{Counts: e.metricCounts(Count), Version: e.version, Window: w.win, Cutover: e.approxCutover, dirtyAt: w.dirtyAt}
+	w.win, w.dirtyAt = build.Window{}, 0
+	return c
+}
+
+// Restore hands a capture's window back after the build that took it
+// failed: its mutations stay pending, and the staleness clock keeps
+// their age.
+func (w *Watch) Restore(c Capture) {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	w.win.Merge(c.Window)
+	if c.dirtyAt != 0 && (w.dirtyAt == 0 || c.dirtyAt < w.dirtyAt) {
+		w.dirtyAt = c.dirtyAt
 	}
 }
 
-func (w *dirtyWindow) markAll() {
-	w.any, w.all = true, true
+// DirtySince returns when the oldest mutation not yet captured landed,
+// or the zero time when there is none.
+func (w *Watch) DirtySince() time.Time {
+	w.e.mu.RLock()
+	defer w.e.mu.RUnlock()
+	if w.dirtyAt == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, w.dirtyAt)
 }
 
-// merge widens w to cover o — the restore path when a build that
-// captured o fails and its mutations must stay pending.
-func (w *dirtyWindow) merge(o dirtyWindow) {
-	if !o.any {
-		return
+// markDirty records a mutation of the value span [lo,hi] in every
+// window the engine keeps. Callers hold e.mu.
+func (e *Engine) markDirty(lo, hi int) {
+	for _, w := range e.windows {
+		w.Mark(lo, hi, e.domain)
 	}
-	if o.all {
-		w.markAll()
-		return
-	}
-	w.markValue(o.lo)
-	w.markValue(o.hi)
-}
-
-// markDirtyValue records a point mutation in every watched window.
-// Callers hold e.mu.
-func (e *Engine) markDirtyValue(v int) {
-	for _, w := range e.watch {
-		w.markValue(v)
-	}
-}
-
-// markDirtyAll records a bulk mutation in every watched window.
-// Callers hold e.mu.
-func (e *Engine) markDirtyAll() {
-	for _, w := range e.watch {
-		w.markAll()
+	for w := range e.watches {
+		w.win.Mark(lo, hi, e.domain)
+		if w.dirtyAt == 0 {
+			w.dirtyAt = time.Now().UnixNano()
+		}
 	}
 }
 
-// resetWatch starts (or stops) dirty tracking for a freshly installed
+// resetWindow starts (or stops) dirty tracking for a freshly installed
 // synopsis: rebuild-capable and incrementally-maintained synopses get a
 // clean window, others drop any stale one. Callers hold e.mu.
-func (e *Engine) resetWatch(name string, opt build.Options) {
+func (e *Engine) resetWindow(name string, opt build.Options) {
 	if build.CanRebuild(opt) || e.maint[name] != nil {
-		e.watch[name] = &dirtyWindow{}
+		e.windows[name] = &build.Window{}
 	} else {
-		delete(e.watch, name)
+		delete(e.windows, name)
 	}
 }
 
-// SetApproxCutover configures the domain size at and above which
-// synopsis builds substitute the method's (1+ε)-approximate
-// counterpart (build.WithApprox): 0 restores the default
+// SetApproxCutover configures the domain size at and above which full
+// synopsis builds — the engine's and those of every serving layer over
+// it — substitute the method's (1+ε)-approximate counterpart
+// (build.WithApprox): 0 restores the default
 // (build.DefaultApproxCutover), a negative value disables
 // substitution. Registered synopses keep their original options; only
 // the construction is substituted.

@@ -67,15 +67,17 @@ type Engine struct {
 	// more than this many mutations happened since it was built.
 	autoRefresh int64
 
-	// approxCutover configures build.WithApprox substitution for rebuilds
-	// (0 = default, negative = disabled).
+	// approxCutover configures build.WithApprox substitution for full
+	// builds (0 = default, negative = disabled).
 	approxCutover int
 
 	synopses map[string]*Synopsis
-	// watch tracks the mutated value window per rebuild-capable synopsis.
-	watch map[string]*dirtyWindow
+	// windows tracks the mutated value window per rebuild-capable or
+	// maintained synopsis; watches are the consumers' windows (Watch).
+	windows map[string]*build.Window
+	watches map[*Watch]struct{}
 	// maint holds the incremental-maintenance state of synopses opted in
-	// through EnableIngest, keyed like synopses/watch.
+	// through EnableIngest, keyed like synopses/windows.
 	maint map[string]*ingest.State
 }
 
@@ -107,7 +109,8 @@ func New(name string, domain int) (*Engine, error) {
 		domain:   domain,
 		counts:   make([]int64, domain),
 		synopses: make(map[string]*Synopsis),
-		watch:    make(map[string]*dirtyWindow),
+		windows:  make(map[string]*build.Window),
+		watches:  make(map[*Watch]struct{}),
 		maint:    make(map[string]*ingest.State),
 	}, nil
 }
@@ -121,7 +124,8 @@ func (e *Engine) Load(counts []int64) error {
 	}
 	// Track the span of loaded mass so the dirty windows stay precise: a
 	// load confined to a value window keeps partial rebuilds and
-	// incremental maintenance partial instead of going fully dirty.
+	// incremental maintenance partial (one spanning the whole domain
+	// marks everything; see build.Window.Mark).
 	lo, hi := -1, -1
 	for v, c := range counts {
 		if c < 0 {
@@ -140,8 +144,7 @@ func (e *Engine) Load(counts []int64) error {
 	// stays put and no window dirties.
 	if lo >= 0 {
 		e.version++
-		e.markDirtyValue(lo)
-		e.markDirtyValue(hi)
+		e.markDirty(lo, hi)
 	}
 	return nil
 }
@@ -167,7 +170,7 @@ func (e *Engine) Replace(counts []int64) error {
 	copy(e.counts, counts)
 	e.records = records
 	e.version++
-	e.markDirtyAll()
+	e.markDirty(0, e.domain-1)
 	return nil
 }
 
@@ -184,7 +187,7 @@ func (e *Engine) Insert(value int, occurrences int64) error {
 	e.counts[value] += occurrences
 	e.records += occurrences
 	e.version++
-	e.markDirtyValue(value)
+	e.markDirty(value, value)
 	return nil
 }
 
@@ -205,7 +208,7 @@ func (e *Engine) Delete(value int, occurrences int64) error {
 	e.counts[value] -= occurrences
 	e.records -= occurrences
 	e.version++
-	e.markDirtyValue(value)
+	e.markDirty(value, value)
 	return nil
 }
 
@@ -238,18 +241,9 @@ func (e *Engine) Version() int64 {
 	return e.version
 }
 
-// MetricCounts returns the per-value series a synopsis of the metric
-// summarizes (the raw distribution for Count, value×frequency for Sum)
-// together with the data version it was read at — the coherent snapshot a
-// serving layer builds from.
-func (e *Engine) MetricCounts(m Metric) ([]int64, int64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.metricCounts(m), e.version
-}
-
 // metricCounts derives the per-value series a synopsis of the metric
-// summarizes. Callers hold the lock.
+// summarizes (the raw distribution for Count, value×frequency for Sum).
+// Callers hold the lock.
 func (e *Engine) metricCounts(m Metric) []int64 {
 	out := make([]int64, len(e.counts))
 	switch m {
@@ -307,70 +301,46 @@ func clamp(a, b, domain int) (int, int, bool) {
 
 // BuildSynopsis constructs and registers a synopsis under the given name,
 // replacing any previous one with that name. When the previous synopsis
-// under the name has the same spec, its method supports partial rebuilds,
-// and the mutations since it was built are confined to a value window,
-// only the affected sub-structures are reconstructed (the dirty-segment
-// path); everything else is a full build. Domains at or above the approx
-// cutover construct through the method's (1+ε)-approximate counterpart
-// while the registered options stay as given.
+// under the name has the same spec, the mutations since it was built
+// decide how much work the refresh does (build.Refresh): none when
+// nothing changed, incremental maintenance or a dirty-segment rebuild
+// when they are confined to a value window, a full build otherwise.
+// Domains at or above the approx cutover construct full builds through
+// the method's (1+ε)-approximate counterpart while the registered
+// options stay as given.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*Synopsis, error) {
 	e.mu.Lock()
 	counts := e.metricCounts(metric)
 	version := e.version
-	eff := build.WithApprox(opt, e.domain, e.approxCutover)
-	prev := e.synopses[name]
+	cutover := e.approxCutover
+	old := e.synopses[name]
 	st := e.maint[name]
-	var win dirtyWindow
-	captured := false
+	var prev *build.Prev
+	var win build.Window
 	if !build.CanRebuild(opt) && st == nil {
-		delete(e.watch, name)
+		delete(e.windows, name)
 	} else {
 		// The window must exist before the unlocked build so concurrent
 		// mutations land in it. A window created late (previous synopsis
 		// installed by a path without tracking) starts fully dirty.
-		w := e.watch[name]
+		w := e.windows[name]
 		if w == nil {
-			w = &dirtyWindow{}
-			if prev != nil {
-				w.markAll()
+			w = &build.Window{}
+			if old != nil {
+				w.MarkAll()
 			}
-			e.watch[name] = w
+			e.windows[name] = w
 		}
-		if prev != nil && prev.Metric == metric && prev.Options == opt {
-			win, *w = *w, dirtyWindow{}
-			captured = true
+		if old != nil && old.Metric == metric && old.Options == opt {
+			prev = &build.Prev{Est: old.Est, Version: old.Version}
+			win, *w = *w, build.Window{}
 		}
 	}
 	e.mu.Unlock()
 
-	if captured && !win.any && prev.Version == version {
-		// Nothing mutated since the previous build: it is already current.
-		return prev, nil
-	}
-	partial := captured && win.any && !win.all
-
-	var est build.Estimator
-	var err error
-	switch {
-	case partial && st != nil && ingest.CanMaintain(prev.Est):
-		// Incremental maintenance: absorb the confined window through the
-		// ingest ladder; only an escalation rebuilds.
-		var out ingest.Outcome
-		est, out, err = ingest.Maintain(counts, prev.Est, win.lo, win.hi, st)
-		if err == nil && out.Action == ingest.Escalate {
-			if build.CanRebuild(opt) {
-				est, _, err = build.Rebuild(counts, opt, prev.Est, win.lo, win.hi)
-			} else {
-				est, err = build.Build(counts, eff)
-			}
-			if err == nil {
-				st.Reset()
-			}
-		}
-	case partial && build.CanRebuild(opt):
-		est, _, err = build.Rebuild(counts, opt, prev.Est, win.lo, win.hi)
-	default:
-		est, err = build.Build(counts, eff)
+	est, step, err := build.Refresh(counts, version, opt, prev, win, st, cutover)
+	if err == nil && step.Rung == build.Reuse {
+		return old, nil
 	}
 	if err == nil {
 		var em method.ErrorModel
@@ -385,12 +355,12 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 	} else {
 		err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
 	}
-	if captured {
+	if prev != nil {
 		// The captured mutations were not absorbed into any synopsis; put
 		// them back so the next rebuild still covers them.
 		e.mu.Lock()
-		if w, ok := e.watch[name]; ok {
-			w.merge(win)
+		if w, ok := e.windows[name]; ok {
+			w.Merge(win)
 		}
 		e.mu.Unlock()
 	}
@@ -408,90 +378,11 @@ func errModelFor(opt build.Options, counts []int64, est build.Estimator) (method
 	return d.ErrorBound(prefix.NewTable(counts), est)
 }
 
-// SynopsisSpec names one synopsis of a BuildSynopses batch.
+// SynopsisSpec names one synopsis a serving layer publishes.
 type SynopsisSpec struct {
 	Name    string
 	Metric  Metric
 	Options build.Options
-}
-
-// BuildSynopses constructs the specified synopses concurrently over the
-// shared worker pool and registers them atomically: either every build
-// succeeds and all synopses are installed (replacing same-named ones), or
-// none is registered and the first failure (in spec order) is returned.
-// All builds see the same snapshot of the data.
-func (e *Engine) BuildSynopses(specs []SynopsisSpec) ([]*Synopsis, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	_, span := obs.Start(context.Background(), "engine.build_synopses")
-	span.SetAttrInt("specs", int64(len(specs)))
-	span.SetAttr("engine", e.name)
-	defer span.End()
-	seen := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		if seen[sp.Name] {
-			return nil, fmt.Errorf("engine: duplicate synopsis name %q in batch", sp.Name)
-		}
-		seen[sp.Name] = true
-	}
-	e.mu.Lock()
-	version := e.version
-	cutover := e.approxCutover
-	countsByMetric := map[Metric][]int64{}
-	// Reset (or create) the dirty windows at the snapshot, so mutations
-	// landing during the unlocked builds are tracked for the next partial
-	// rebuild. The previous windows are kept aside to restore on failure.
-	prevWins := make(map[string]dirtyWindow)
-	for _, sp := range specs {
-		if _, ok := countsByMetric[sp.Metric]; !ok {
-			countsByMetric[sp.Metric] = e.metricCounts(sp.Metric)
-		}
-		if w, ok := e.watch[sp.Name]; ok {
-			prevWins[sp.Name] = *w
-		}
-		e.resetWatch(sp.Name, sp.Options)
-	}
-	e.mu.Unlock()
-
-	restoreWins := func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		for name, win := range prevWins {
-			if w, ok := e.watch[name]; ok {
-				w.merge(win)
-			}
-		}
-	}
-
-	out := make([]*Synopsis, len(specs))
-	errs := make([]error, len(specs))
-	parallel.ForEach(len(specs), func(i int) {
-		sp := specs[i]
-		est, err := build.Build(countsByMetric[sp.Metric], build.WithApprox(sp.Options, e.domain, cutover))
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: building synopsis %q: %w", sp.Name, err)
-			return
-		}
-		em, err := errModelFor(sp.Options, countsByMetric[sp.Metric], est)
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: error model for %q: %w", sp.Name, err)
-			return
-		}
-		out[i] = &Synopsis{Name: sp.Name, Metric: sp.Metric, Options: sp.Options, Est: est, ErrModel: em, Version: version}
-	})
-	for _, err := range errs {
-		if err != nil {
-			restoreWins()
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range out {
-		e.synopses[s.Name] = s
-	}
-	return out, nil
 }
 
 // MergeFrom absorbs a shard engine built over the same domain: the
@@ -578,7 +469,7 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	}
 	e.records += shardRecords
 	e.version++
-	e.markDirtyAll()
+	e.markDirty(0, e.domain-1)
 	// The merged estimator now summarizes the union distribution, so its
 	// error model is rebuilt against the post-merge data. A model failure
 	// is not fatal: the absorption (a logged, replayable mutation) already
@@ -589,7 +480,7 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	// The merged estimator reflects the post-merge distribution exactly,
 	// so its window starts clean (everything else stays fully dirty from
 	// the absorption above).
-	e.resetWatch(name, opts)
+	e.resetWindow(name, opts)
 	return s, nil
 }
 
@@ -608,9 +499,9 @@ func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options,
 	e.synopses[name] = s
 	// A restored estimator may predate replayed mutations, so its first
 	// rebuild is always a full one.
-	e.resetWatch(name, opts)
-	if w, ok := e.watch[name]; ok {
-		w.markAll()
+	e.resetWindow(name, opts)
+	if w, ok := e.windows[name]; ok {
+		w.MarkAll()
 	}
 	return s
 }
@@ -621,7 +512,7 @@ func (e *Engine) DropSynopsis(name string) bool {
 	defer e.mu.Unlock()
 	_, ok := e.synopses[name]
 	delete(e.synopses, name)
-	delete(e.watch, name)
+	delete(e.windows, name)
 	delete(e.maint, name)
 	return ok
 }
@@ -666,24 +557,34 @@ func (e *Engine) SetAutoRefresh(threshold int64) {
 	e.autoRefresh = threshold
 }
 
+// current returns a named synopsis, first rebuilding it when the
+// auto-refresh maintenance policy is enabled and it is more than the
+// threshold stale.
+func (e *Engine) current(name string) (*Synopsis, error) {
+	s, err := e.Synopsis(name)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.RLock()
+	stale := e.autoRefresh > 0 && e.version-s.Version > e.autoRefresh
+	e.mu.RUnlock()
+	if stale {
+		// Rebuild from current data; a concurrent refresh of the same
+		// synopsis is harmless (last build wins, both are fresh).
+		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
+			return nil, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
+		}
+	}
+	return s, nil
+}
+
 // Approx answers a range query from a named synopsis, applying the
 // auto-refresh maintenance policy if enabled. The range is clamped; a
 // fully-outside range returns 0.
 func (e *Engine) Approx(name string, a, b int) (float64, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.current(name)
 	if err != nil {
 		return 0, err
-	}
-	e.mu.RLock()
-	threshold := e.autoRefresh
-	stale := e.version - s.Version
-	e.mu.RUnlock()
-	if threshold > 0 && stale > threshold {
-		// Rebuild from current data; a concurrent refresh of the same
-		// synopsis is harmless (last build wins, both are fresh).
-		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return 0, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
-		}
 	}
 	a, b, ok := clamp(a, b, e.domain)
 	if !ok {
@@ -707,18 +608,9 @@ type ApproxAnswer struct {
 // synopsis's per-range error bound. A fully-outside range returns the
 // exact answer 0 with a zero bound.
 func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.current(name)
 	if err != nil {
 		return ApproxAnswer{}, err
-	}
-	e.mu.RLock()
-	threshold := e.autoRefresh
-	stale := e.version - s.Version
-	e.mu.RUnlock()
-	if threshold > 0 && stale > threshold {
-		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return ApproxAnswer{}, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
-		}
 	}
 	a, b, ok := clamp(a, b, e.domain)
 	if !ok {
@@ -739,18 +631,9 @@ func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 // answer comes from the same estimator, so the batch is internally
 // consistent even if a concurrent rebuild replaces the synopsis mid-way.
 func (e *Engine) ApproxBatch(name string, queries []sse.Range) ([]float64, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.current(name)
 	if err != nil {
 		return nil, err
-	}
-	e.mu.RLock()
-	threshold := e.autoRefresh
-	stale := e.version - s.Version
-	e.mu.RUnlock()
-	if threshold > 0 && stale > threshold {
-		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return nil, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
-		}
 	}
 	est, domain := s.Est, e.domain
 	maintained := e.maintState(name)

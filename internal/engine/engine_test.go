@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
-	"rangeagg/internal/obs"
 	"rangeagg/internal/sse"
 )
 
@@ -328,88 +327,4 @@ func TestProgressive(t *testing.T) {
 	if steps, err := e.Progressive("m", 0, 31, 0); err != nil || len(steps) < 2 {
 		t.Errorf("default chunks: %v %v", len(steps), err)
 	}
-}
-
-func TestBuildSynopsesBatch(t *testing.T) {
-	e := newLoaded(t)
-	specs := []SynopsisSpec{
-		{Name: "a0", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
-		{Name: "sap0", Metric: Count, Options: build.Options{Method: build.SAP0, BudgetWords: 12}},
-		{Name: "sums", Metric: Sum, Options: build.Options{Method: build.EquiDepth, BudgetWords: 10}},
-	}
-	out, err := e.BuildSynopses(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(specs) {
-		t.Fatalf("built %d of %d", len(out), len(specs))
-	}
-	for i, s := range out {
-		if s.Name != specs[i].Name {
-			t.Errorf("out[%d] = %q, want %q (results must keep spec order)", i, s.Name, specs[i].Name)
-		}
-	}
-	// Batch results must be identical to sequential builds of the same specs.
-	for _, sp := range specs {
-		single, err := build.Build(e.metricCounts(sp.Metric), sp.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Synopsis(sp.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for a := 0; a < e.Domain(); a += 3 {
-			for b := a; b < e.Domain(); b += 5 {
-				if got.Est.Estimate(a, b) != single.Estimate(a, b) {
-					t.Fatalf("%s: batch estimate differs from sequential at [%d,%d]", sp.Name, a, b)
-				}
-			}
-		}
-	}
-	// A failing spec aborts the whole batch without registering anything.
-	bad := []SynopsisSpec{
-		{Name: "ok", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
-		{Name: "boom", Metric: Count, Options: build.Options{Method: build.A0}}, // zero budget
-	}
-	if _, err := e.BuildSynopses(bad); err == nil {
-		t.Fatal("invalid batch accepted")
-	}
-	if _, err := e.Synopsis("ok"); err == nil {
-		t.Error("failed batch still registered a synopsis")
-	}
-	// Duplicate names are rejected up front.
-	dup := []SynopsisSpec{
-		{Name: "x", Metric: Count, Options: build.Options{Method: build.Naive}},
-		{Name: "x", Metric: Count, Options: build.Options{Method: build.Naive}},
-	}
-	if _, err := e.BuildSynopses(dup); err == nil {
-		t.Error("duplicate names accepted")
-	}
-	if out, err := e.BuildSynopses(nil); err != nil || out != nil {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-}
-
-// TestBuildSynopsesSpan checks the engine's build span reaches the
-// process tracer with its batch attributes — the piece of the
-// build→query trace the serve layer relies on for engine-driven builds.
-func TestBuildSynopsesSpan(t *testing.T) {
-	e := newLoaded(t)
-	before := obs.DefaultTracer.Recorded()
-	specs := []SynopsisSpec{
-		{Name: "traced", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
-	}
-	if _, err := e.BuildSynopses(specs); err != nil {
-		t.Fatal(err)
-	}
-	if obs.DefaultTracer.Recorded() <= before {
-		t.Fatal("BuildSynopses recorded no span")
-	}
-	for _, sp := range obs.Recent() {
-		if sp.Name == "engine.build_synopses" && sp.Attrs["specs"] == "1" {
-			return
-		}
-	}
-	t.Fatal("no engine.build_synopses span with specs=1 in the recent ring")
 }

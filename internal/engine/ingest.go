@@ -27,12 +27,12 @@ func (e *Engine) EnableIngest(name string, cfg ingest.Config) error {
 	// registry Rebuild hook. A window created now can only vouch for
 	// mutations from now on, so it starts fully dirty unless the synopsis
 	// is current.
-	if e.watch[name] == nil {
-		w := &dirtyWindow{}
+	if e.windows[name] == nil {
+		w := &build.Window{}
 		if s.Version != e.version {
-			w.markAll()
+			w.MarkAll()
 		}
-		e.watch[name] = w
+		e.windows[name] = w
 	}
 	return nil
 }
@@ -46,7 +46,7 @@ func (e *Engine) DisableIngest(name string) bool {
 	_, ok := e.maint[name]
 	delete(e.maint, name)
 	if s, reg := e.synopses[name]; reg && !build.CanRebuild(s.Options) {
-		delete(e.watch, name)
+		delete(e.windows, name)
 	}
 	return ok
 }

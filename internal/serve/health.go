@@ -83,11 +83,8 @@ func (s *Server) Health() HealthStatus {
 	if at := s.swappedAt.Load(); at > 0 {
 		h.SnapshotAgeS = now.Sub(time.Unix(0, at)).Seconds()
 	}
-	s.winMu.Lock()
-	dirtyAt := s.dirtyAt
-	s.winMu.Unlock()
-	if dirtyAt > 0 {
-		h.StalenessS = now.Sub(time.Unix(0, dirtyAt)).Seconds()
+	if at := s.watch.DirtySince(); !at.IsZero() {
+		h.StalenessS = now.Sub(at).Seconds()
 	}
 	h.Ready = h.StalenessS <= h.MaxLagS
 	if s.cfg.WAL != nil {
@@ -141,6 +138,5 @@ func (s *Server) InstallCheckpoint(ck *wal.CheckpointData, adoptSpecs bool) erro
 	if err := s.eng.Replace(ck.Counts); err != nil {
 		return err
 	}
-	s.markAll()
 	return s.Rebuild()
 }

@@ -274,12 +274,12 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 			// freshness, and the records replayed at startup.
 			resp["durability"] = s.cfg.WAL.Stats()
 		}
-		if st := s.SegmentStats(); st.Rebuilt+st.Reused+st.SynopsesReused > 0 {
+		if st := segmentStats(); st.Rebuilt+st.Reused+st.SynopsesReused > 0 {
 			// Partial-rebuild work avoidance: segments rebuilt vs carried
 			// over, and whole synopses reused across snapshot swaps.
 			resp["segments"] = st
 		}
-		if st := s.IngestStats(); st.RebuildsAvoided+st.Escalated > 0 {
+		if st := ingestStats(); st.RebuildsAvoided+st.Escalated > 0 {
 			// Incremental-maintenance ladder: batches absorbed, values
 			// re-optimized, boundaries repaired, escalations, and the
 			// rebuilds all of that made unnecessary.
@@ -317,6 +317,46 @@ type BuildStats struct {
 	P95Ms float64 `json:"p95_ms"`
 	P99Ms float64 `json:"p99_ms"`
 	MaxMs float64 `json:"max_ms"`
+}
+
+// SegmentStats is the /metrics "segments" block: how much snapshot-
+// rebuild work the refresh ladder saved, process-wide. Rebuilt/Reused
+// count segments across partial rebuilds; SynopsesReused counts whole
+// synopses carried over verbatim because nothing changed for them.
+type SegmentStats struct {
+	Rebuilt        int64 `json:"rebuilt"`
+	Reused         int64 `json:"reused"`
+	SynopsesReused int64 `json:"synopses_reused"`
+}
+
+func segmentStats() SegmentStats {
+	return SegmentStats{
+		Rebuilt:        obs.Default.Counter("rangeagg_segment_rebuilt_total").Value(),
+		Reused:         obs.Default.Counter("rangeagg_segment_reused_total").Value(),
+		SynopsesReused: obs.Default.Counter("rangeagg_synopsis_reused_total").Value(),
+	}
+}
+
+// IngestStats is the /metrics "ingest" block: one count per
+// incremental-maintenance ladder action, process-wide, plus the
+// rebuilds those batches made unnecessary (every non-escalated batch is
+// one avoided rebuild of its synopsis).
+type IngestStats struct {
+	Absorbed        int64 `json:"absorbed"`
+	Reoptimized     int64 `json:"reoptimized"`
+	Repaired        int64 `json:"repaired"`
+	Escalated       int64 `json:"escalated"`
+	RebuildsAvoided int64 `json:"rebuilds_avoided"`
+}
+
+func ingestStats() IngestStats {
+	return IngestStats{
+		Absorbed:        obs.Default.Counter("rangeagg_ingest_absorbed_total").Value(),
+		Reoptimized:     obs.Default.Counter("rangeagg_ingest_reoptimized_total").Value(),
+		Repaired:        obs.Default.Counter("rangeagg_ingest_repaired_total").Value(),
+		Escalated:       obs.Default.Counter("rangeagg_ingest_escalated_total").Value(),
+		RebuildsAvoided: obs.Default.Counter("rangeagg_ingest_rebuilds_avoided_total").Value(),
+	}
 }
 
 // buildSummary condenses the per-method build histograms recorded by

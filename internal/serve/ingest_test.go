@@ -18,6 +18,19 @@ func incrementalCfg() Config {
 	}
 }
 
+// ingestSince returns how far the process-wide ingest counters moved
+// since before.
+func ingestSince(before IngestStats) IngestStats {
+	now := ingestStats()
+	return IngestStats{
+		Absorbed:        now.Absorbed - before.Absorbed,
+		Reoptimized:     now.Reoptimized - before.Reoptimized,
+		Repaired:        now.Repaired - before.Repaired,
+		Escalated:       now.Escalated - before.Escalated,
+		RebuildsAvoided: now.RebuildsAvoided - before.RebuildsAvoided,
+	}
+}
+
 func newIngestServer(t *testing.T, domain int, cfg Config) (*engine.Engine, *Server) {
 	t.Helper()
 	eng, err := engine.New("test", domain)
@@ -47,6 +60,7 @@ func newIngestServer(t *testing.T, domain int, cfg Config) (*engine.Engine, *Ser
 // inserts are absorbed (not rebuilt), the maintenance counters advance,
 // and every published answer stays inside its rigorous bound.
 func TestServeIncrementalMaintains(t *testing.T) {
+	before := ingestStats()
 	_, s := newIngestServer(t, 256, incrementalCfg())
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -75,7 +89,7 @@ func TestServeIncrementalMaintains(t *testing.T) {
 			}
 		}
 	}
-	st := s.IngestStats()
+	st := ingestSince(before)
 	// Two maintained synopses, eight confined batches each.
 	if st.Absorbed != 16 || st.RebuildsAvoided != 16 || st.Escalated != 0 {
 		t.Fatalf("ingest stats = %+v, want 16 absorbed, 16 avoided", st)
@@ -86,6 +100,7 @@ func TestServeIncrementalMaintains(t *testing.T) {
 // across maintained publishes: a cached probe answer must not survive a
 // publish that absorbed new data — the epoch bump invalidates it.
 func TestServeMaintainedPublishFreshCache(t *testing.T) {
+	before := ingestStats()
 	_, s := newIngestServer(t, 256, incrementalCfg())
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -107,7 +122,7 @@ func TestServeMaintainedPublishFreshCache(t *testing.T) {
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.IngestStats(); st.Absorbed == 0 {
+	if st := ingestSince(before); st.Absorbed == 0 {
 		t.Fatalf("publish did not maintain: %+v", st)
 	}
 	after, _ := s.QueryOne(Query{Synopsis: "flat", A: 20, B: 120})
@@ -142,7 +157,7 @@ func TestServeLoadPartialWindow(t *testing.T) {
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	before := s.SegmentStats()
+	before := segmentStats()
 
 	batch := make([]int64, 512)
 	for v := 40; v <= 70; v++ {
@@ -154,7 +169,7 @@ func TestServeLoadPartialWindow(t *testing.T) {
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.SegmentStats()
+	after := segmentStats()
 	if after.Reused <= before.Reused {
 		t.Fatalf("confined bulk load reused no segments: before %+v after %+v", before, after)
 	}
@@ -181,6 +196,7 @@ func TestServeEscalationRebuilds(t *testing.T) {
 		Debounce: time.Hour,
 		Ingest:   ingest.Config{Mode: ingest.ModeIncremental, ReoptEvery: -1, DriftThreshold: 1.1},
 	}
+	before := ingestStats()
 	_, s := newIngestServer(t, 256, cfg)
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -205,7 +221,7 @@ func TestServeEscalationRebuilds(t *testing.T) {
 			t.Fatalf("batch %d: residual %g exceeds bound %g", batch, resid, bound)
 		}
 	}
-	st := s.IngestStats()
+	st := ingestSince(before)
 	if st.Escalated == 0 {
 		t.Fatalf("drift ladder never escalated under exploding inserts: %+v", st)
 	}
@@ -220,6 +236,7 @@ func TestServeEscalationRebuilds(t *testing.T) {
 // TestServeRebuildModeUnchanged pins that the default mode keeps the
 // pre-ingest behaviour: no maintenance state, no counters.
 func TestServeRebuildModeUnchanged(t *testing.T) {
+	before := ingestStats()
 	_, s := newIngestServer(t, 128, Config{Debounce: time.Hour})
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -230,7 +247,7 @@ func TestServeRebuildModeUnchanged(t *testing.T) {
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.IngestStats(); st != (IngestStats{}) {
+	if st := ingestSince(before); st != (IngestStats{}) {
 		t.Fatalf("rebuild mode accrued ingest stats: %+v", st)
 	}
 }

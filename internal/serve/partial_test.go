@@ -45,7 +45,7 @@ func TestServePartialRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.SegmentStats()
+	before := segmentStats()
 
 	if err := s.Insert(100, 50); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestServePartialRebuild(t *testing.T) {
 			t.Errorf("clean segment %d was rebuilt instead of reused", i)
 		}
 	}
-	st := s.SegmentStats()
+	st := segmentStats()
 	if st.Rebuilt-before.Rebuilt != 1 || st.Reused-before.Reused != int64(len(ns.Segs)-1) {
 		t.Errorf("stats delta = %+v − %+v, want 1 rebuilt / %d reused", st, before, len(ns.Segs)-1)
 	}
@@ -87,12 +87,12 @@ func TestServePartialRebuild(t *testing.T) {
 // mutations since the last one carries the synopsis (estimator and error
 // model) into the new snapshot verbatim.
 func TestServeSynopsisReuse(t *testing.T) {
-	_, s := newSegServer(t, 256, Config{Debounce: time.Hour})
+	eng, s := newSegServer(t, 256, Config{Debounce: time.Hour})
 	prev, err := s.Snapshot().Synopsis("seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.SegmentStats().SynopsesReused
+	before := segmentStats().SynopsesReused
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,14 @@ func TestServeSynopsisReuse(t *testing.T) {
 	if next.Est != prev.Est || next.ErrModel != prev.ErrModel {
 		t.Error("clean rebuild did not carry the synopsis over verbatim")
 	}
-	if got := s.SegmentStats().SynopsesReused - before; got != 1 {
+	if got := segmentStats().SynopsesReused - before; got != 1 {
 		t.Errorf("SynopsesReused delta = %d, want 1", got)
 	}
-	// MarkDirty (an untracked external mutation) forces a full rebuild
-	// even though the engine data is unchanged.
-	s.markAll()
+	// A mutation that bypasses the server still lands in the window the
+	// engine keeps for it, so the next rebuild cannot reuse the synopsis.
+	if err := eng.Insert(7, 3); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +119,13 @@ func TestServeSynopsisReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if full.Est == next.Est {
-		t.Error("MarkDirty did not force a rebuild")
+		t.Error("direct engine mutation did not force a rebuild")
 	}
 }
 
-// TestServeApproxCutover pins the serve-layer cutover config: lowering it
-// below the domain makes full rebuilds construct through the approximate
-// counterpart while registered options keep the exact method.
+// TestServeApproxCutover pins that serving follows its engine's cutover:
+// lowering it below the domain makes full rebuilds construct through the
+// approximate counterpart while registered options keep the exact method.
 func TestServeApproxCutover(t *testing.T) {
 	eng, err := engine.New("cutover", 64)
 	if err != nil {
@@ -140,7 +142,8 @@ func TestServeApproxCutover(t *testing.T) {
 		Name: "a", Metric: engine.Count,
 		Options: build.Options{Method: build.A0, BudgetWords: 12},
 	}}
-	s, err := New(eng, specs, Config{Debounce: time.Hour, ApproxCutover: 32})
+	eng.SetApproxCutover(32)
+	s, err := New(eng, specs, Config{Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +159,9 @@ func TestServeApproxCutover(t *testing.T) {
 		t.Errorf("registered method changed to %v", syn.Options.Method)
 	}
 
-	// The default config (cutover 0 → 32768) leaves a 64-value domain on
-	// the exact path.
+	// The default cutover (0 → 32768) leaves a 64-value domain on the
+	// exact path.
+	eng.SetApproxCutover(0)
 	s2, err := New(eng, specs, Config{Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -169,5 +173,74 @@ func TestServeApproxCutover(t *testing.T) {
 	}
 	if strings.Contains(syn.Est.Name(), "APPROX") {
 		t.Errorf("default cutover built %q on a small domain", syn.Est.Name())
+	}
+}
+
+// TestServeServersKeepOwnWindows pins that two servers over one engine
+// never take each other's marks: a write through one server is refreshed
+// partially by both, a server reuses only once it has consumed the write
+// itself, and closing one leaves the other tracking writes.
+func TestServeServersKeepOwnWindows(t *testing.T) {
+	eng, s1 := newSegServer(t, 256, Config{Debounce: time.Hour})
+	specs := []engine.SynopsisSpec{{
+		Name: "seg", Metric: engine.Count,
+		Options: build.Options{Method: build.Segmented, BudgetWords: 40, Segments: 8},
+	}}
+	s2, err := New(eng, specs, Config{Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	est := func(s *Server) build.Estimator {
+		t.Helper()
+		syn, err := s.Snapshot().Synopsis("seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return syn.Est
+	}
+	rebuild := func(s *Server) {
+		t.Helper()
+		if err := s.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before1, before2 := est(s1), est(s2)
+	if err := s1.Insert(100, 50); err != nil {
+		t.Fatal(err)
+	}
+	rebuild(s1)
+	rebuild(s2)
+	for _, c := range []struct {
+		name        string
+		prev, fresh build.Estimator
+	}{{"first", before1, est(s1)}, {"second", before2, est(s2)}} {
+		ps, ns := c.prev.(*segment.Segmented), c.fresh.(*segment.Segmented)
+		dirty := ps.Find(100)
+		for i := range ns.Segs {
+			if (ns.Segs[i] == ps.Segs[i]) == (i == dirty) {
+				t.Errorf("%s server, segment %d: reused=%v, dirty segment is %d", c.name, i, ns.Segs[i] == ps.Segs[i], dirty)
+			}
+		}
+	}
+	if s2.Snapshot().ExactCount(100, 100) != eng.ExactCount(100, 100) {
+		t.Fatal("second server did not publish the write")
+	}
+
+	// Both have consumed the write: clean rebuilds reuse.
+	clean2 := est(s2)
+	rebuild(s2)
+	if est(s2) != clean2 {
+		t.Error("second server rebuilt with nothing pending")
+	}
+
+	s1.Close()
+	if err := eng.Insert(7, 3); err != nil {
+		t.Fatal(err)
+	}
+	rebuild(s2)
+	if est(s2) == clean2 {
+		t.Error("second server reused its synopsis after a write")
 	}
 }

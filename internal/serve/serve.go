@@ -53,12 +53,6 @@ type Config struct {
 	// CacheEntries sizes the planner's hot-range answer cache (default
 	// 4096 entries); a negative value disables caching.
 	CacheEntries int
-	// ApproxCutover is the domain size at and above which snapshot
-	// rebuilds construct through a method's (1+ε)-approximate
-	// counterpart (registered specs keep their original options). 0
-	// selects build.DefaultApproxCutover; a negative value disables the
-	// substitution.
-	ApproxCutover int
 	// WAL, when non-nil, makes the server durable: the engine must be
 	// the DB's engine, every mutation path (ingest, load, shard merge)
 	// appends its log record before the call acknowledges, and a
@@ -121,13 +115,10 @@ type Server struct {
 	shardMu sync.RWMutex
 	shards  map[string][]build.Estimator
 
-	// winMu guards win, the mutated value window Rebuild's partial path
-	// consumes, and dirtyAt, the unix-nano timestamp of the oldest
-	// mutation not yet reflected in the served snapshot (0 = none) —
+	// watch is the mutation window the engine keeps for this server:
+	// Rebuild captures it with the counts, and its dirty-since time is
 	// the /healthz staleness signal.
-	winMu   sync.Mutex
-	win     window
-	dirtyAt int64
+	watch *engine.Watch
 
 	// swappedAt is when the served snapshot was published (unix nanos).
 	swappedAt atomic.Int64
@@ -135,22 +126,11 @@ type Server struct {
 	// node follows no primary).
 	follow atomic.Pointer[FollowState]
 
-	// Partial-rebuild counters (see SegmentStats).
-	segRebuilt atomic.Int64
-	segReused  atomic.Int64
-	synReused  atomic.Int64
-
 	// ingMu guards ingStates, the per-synopsis maintenance state created
-	// lazily by Rebuild's maintained path (Config.Ingest incremental).
+	// lazily by Rebuild once a spec has a maintainable previous synopsis
+	// (Config.Ingest incremental).
 	ingMu     sync.RWMutex
 	ingStates map[string]*ingest.State
-
-	// Maintenance counters (see IngestStats).
-	ingAbsorbed  atomic.Int64
-	ingReopt     atomic.Int64
-	ingRepaired  atomic.Int64
-	ingEscalated atomic.Int64
-	ingAvoided   atomic.Int64
 
 	rebuilds atomic.Int64
 	lastErr  atomic.Pointer[rebuildError]
@@ -197,6 +177,7 @@ type Result struct {
 func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, error) {
 	s := &Server{
 		eng:       eng,
+		watch:     eng.Watch(),
 		cfg:       cfg.withDefaults(),
 		specs:     append([]engine.SynopsisSpec(nil), specs...),
 		shards:    make(map[string][]build.Estimator),
@@ -219,6 +200,7 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 		}
 	}
 	if err := s.Rebuild(); err != nil {
+		s.watch.Close()
 		return nil, err
 	}
 	if s.cfg.WAL != nil {
@@ -230,9 +212,13 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 	return s, nil
 }
 
-// Close stops the debouncer. The last published snapshot keeps serving.
+// Close stops the debouncer and unregisters the server's mutation
+// window. The last published snapshot keeps serving.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.stop) })
+	s.closeOnce.Do(func() {
+		close(s.stop)
+		s.watch.Close()
+	})
 	<-s.done
 }
 
@@ -264,7 +250,6 @@ func (s *Server) Insert(value int, occurrences int64) error {
 	if err != nil {
 		return err
 	}
-	s.markValue(value)
 	s.signalDirty()
 	return nil
 }
@@ -281,16 +266,14 @@ func (s *Server) Delete(value int, occurrences int64) error {
 	if err != nil {
 		return err
 	}
-	s.markValue(value)
 	s.signalDirty()
 	return nil
 }
 
 // Load forwards a bulk load to the engine (via the write-ahead log when
-// durable) and schedules a debounced rebuild. The mutation window is
-// marked with the precise span of the loaded mass — not the whole
-// domain — so a load confined to a value window keeps segmented
-// rebuilds and incremental maintenance partial.
+// durable) and schedules a debounced rebuild. The engine marks the
+// precise span of the loaded mass, so a load confined to a value window
+// keeps segmented rebuilds and incremental maintenance partial.
 func (s *Server) Load(counts []int64) error {
 	var err error
 	if s.cfg.WAL != nil {
@@ -301,46 +284,12 @@ func (s *Server) Load(counts []int64) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := loadSpan(counts)
-	switch {
-	case lo < 0:
-		// An all-zero load changes no counts; signal anyway so the served
-		// version converges with the engine's bump.
-	case lo == 0 && hi == len(counts)-1:
-		s.markAll()
-	default:
-		s.markRange(lo, hi)
-	}
 	s.signalDirty()
 	return nil
 }
 
-// loadSpan returns the inclusive span of non-zero entries, or (-1,-1)
-// when there are none.
-func loadSpan(counts []int64) (int, int) {
-	lo, hi := -1, -1
-	for v, c := range counts {
-		if c != 0 {
-			if lo < 0 {
-				lo = v
-			}
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// MarkDirty tells the debouncer the engine data changed. Callers that
-// mutate the engine directly (not through the server's ingest wrappers)
-// use it to keep the served snapshot converging; since the mutation's
-// location is unknown here, the next rebuild is a full one.
-func (s *Server) MarkDirty() {
-	s.markAll()
-	s.signalDirty()
-}
-
-// signalDirty schedules a debounced rebuild without touching the
-// mutation window (the ingest wrappers already marked it precisely).
+// signalDirty schedules a debounced rebuild; the engine has already
+// marked the mutation in the server's window.
 func (s *Server) signalDirty() {
 	select {
 	case s.dirty <- struct{}{}:
@@ -459,9 +408,8 @@ func (s *Server) MergeSynopsis(name string, est build.Estimator) error {
 }
 
 // ingestState returns — creating on first use — the maintenance state
-// of a synopsis. Creation only happens on Rebuild's maintained path
-// (serialized by rebuildMu), so concurrent readers almost always stay
-// on the RLock.
+// of a synopsis. Creation only happens in Rebuild (serialized by
+// rebuildMu), so concurrent readers almost always stay on the RLock.
 func (s *Server) ingestState(name string) *ingest.State {
 	s.ingMu.RLock()
 	st := s.ingStates[name]
@@ -479,8 +427,8 @@ func (s *Server) ingestState(name string) *ingest.State {
 }
 
 // observeQuery feeds an answered range into a maintained synopsis's
-// drift trigger (sampled; no-op unless incremental ingest is on and the
-// synopsis has been maintained at least once).
+// drift trigger (sampled; no-op unless incremental ingest is on and a
+// rebuild has created the synopsis's maintenance state).
 func (s *Server) observeQuery(name string, a, b int) {
 	if !s.cfg.Ingest.Enabled() {
 		return
@@ -570,15 +518,12 @@ func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 // the worker pool — and atomically swaps it in. On failure the previous
 // snapshot keeps serving and the error is retained for LastError.
 //
-// Rebuild avoids redoing work the mutation window proves unnecessary:
-// a spec whose previous synopsis was built from the same data version
-// with no mutations since is carried over verbatim (estimator and error
-// model); a spec whose method supports partial rebuilds refreshes only
-// the structures covering the mutated window; everything else is built
-// from scratch, substituting the method's (1+ε)-approximate counterpart
-// on large domains (Config.ApproxCutover). The partial and reuse paths
-// trust that direct engine mutators call MarkDirty (which widens the
-// window to everything); the ingest wrappers mark precisely.
+// Each spec is refreshed through build.Refresh from the previous
+// snapshot's synopsis and the mutation window the engine kept for this
+// server, so only the work the window proves necessary is done: reuse,
+// incremental maintenance (Config.Ingest), a dirty-segment rebuild, or
+// a full build — the last through the method's (1+ε)-approximate
+// counterpart on domains at or above the engine's approx cutover.
 func (s *Server) Rebuild() error {
 	_, span := obs.Start(context.Background(), "serve.rebuild")
 	span.OnEnd(rebuildSeconds.Observe)
@@ -591,44 +536,28 @@ func (s *Server) Rebuild() error {
 	s.specMu.RUnlock()
 	span.SetAttrInt("specs", int64(len(specs)))
 
-	// Capture the mutation window BEFORE reading the engine: a mutation
-	// landing in between marks the fresh window and is also in the counts
-	// read below, so the worst case is an over-rebuild, never stale
-	// reuse. On failure the captured window is merged back so the pending
-	// mutations are not lost.
-	s.winMu.Lock()
-	win := s.win
-	dirtyAt := s.dirtyAt
-	s.win = window{}
-	s.dirtyAt = 0
-	s.winMu.Unlock()
+	// One locked read of the engine takes the counts, their version, the
+	// mutation window and the approx cutover together; the SUM series is
+	// derived locally so both metrics come from the same version. On failure the window is
+	// handed back so the pending mutations are not lost.
+	c := s.watch.Capture()
 	fail := func(err error) error {
-		s.winMu.Lock()
-		s.win.merge(win)
-		// Restore the staleness clock: the captured mutations are still
-		// pending, so /healthz must keep aging them.
-		if dirtyAt != 0 && (s.dirtyAt == 0 || dirtyAt < s.dirtyAt) {
-			s.dirtyAt = dirtyAt
-		}
-		s.winMu.Unlock()
+		s.watch.Restore(c)
 		s.lastErr.Store(&rebuildError{err: err})
 		return err
 	}
-
-	// One locked read of the engine; the SUM series is derived locally so
-	// both metrics come from the same version.
-	counts, version := s.eng.MetricCounts(engine.Count)
+	counts, version := c.Counts, c.Version
 	sums := make([]int64, len(counts))
 	var records int64
-	for v, c := range counts {
-		sums[v] = int64(v) * c
-		records += c
+	for v, n := range counts {
+		sums[v] = int64(v) * n
+		records += n
 	}
 
 	prev := s.snap.Load()
-	// One shard-inbox snapshot drives both the build-mode decisions and
-	// the fold below, so a shard arriving mid-rebuild cannot fold into a
-	// reused estimator (its own Rebuild call is already queued).
+	// One shard-inbox snapshot drives both the refresh inputs and the fold
+	// below, so a shard arriving mid-rebuild cannot fold into a reused
+	// estimator (its own Rebuild call is already queued).
 	s.shardMu.RLock()
 	shardsFor := make([][]build.Estimator, len(specs))
 	for i, sp := range specs {
@@ -645,61 +574,33 @@ func (s *Server) Rebuild() error {
 	ests := make([]build.Estimator, len(specs))
 	ems := make([]method.ErrorModel, len(specs))
 	errs := make([]error, len(specs))
-	stats := make([]method.RebuildStats, len(specs))
-	reused := make([]bool, len(specs))
-	outcomes := make([]*ingest.Outcome, len(specs))
+	steps := make([]build.Step, len(specs))
+	prevSyns := make([]*Synopsis, len(specs))
 	tasks := []func(){
 		func() { snap.count = prefix.NewTable(counts) },
 		func() { snap.sum = prefix.NewTable(sums) },
 	}
 	for i := range specs {
 		i, sp := i, specs[i]
-		var prevSyn *Synopsis
-		if prev != nil {
-			prevSyn = prev.syns[sp.Name]
-		}
-		sameSpec := prevSyn != nil && len(shardsFor[i]) == 0 &&
-			prevSyn.Metric == sp.Metric && prevSyn.Options == sp.Options
-		if sameSpec && !win.any && prev.Version == version {
-			// Nothing changed for this spec: carry estimator and error
-			// model into the new snapshot verbatim.
-			ests[i], ems[i], reused[i] = prevSyn.Est, prevSyn.ErrModel, true
-			s.synReused.Add(1)
-			continue
-		}
-		partial := sameSpec && win.any && !win.all && build.CanRebuild(sp.Options)
+		// A synopsis folding shards answers for remote records too, so it
+		// is never a starting point: those specs always build in full.
+		var from *build.Prev
 		var st *ingest.State
-		if s.cfg.Ingest.Enabled() && sameSpec && win.any && !win.all && ingest.CanMaintain(prevSyn.Est) {
-			st = s.ingestState(sp.Name)
+		if prev != nil && len(shardsFor[i]) == 0 {
+			if p := prev.syns[sp.Name]; p != nil && p.Metric == sp.Metric && p.Options == sp.Options {
+				prevSyns[i] = p
+				from = &build.Prev{Est: p.Est, Version: prev.Version}
+				if s.cfg.Ingest.Enabled() && ingest.CanMaintain(p.Est) {
+					st = s.ingestState(sp.Name)
+				}
+			}
+		}
+		series := counts
+		if sp.Metric == engine.Sum {
+			series = sums
 		}
 		tasks = append(tasks, func() {
-			series := counts
-			if sp.Metric == engine.Sum {
-				series = sums
-			}
-			if st != nil {
-				// Incremental maintenance: absorb the confined window
-				// through the ingest ladder. Only an escalation (drift
-				// persisting past a boundary repair) falls through to the
-				// rebuild paths below, restarting maintenance from the
-				// rebuilt synopsis.
-				var out ingest.Outcome
-				ests[i], out, errs[i] = ingest.Maintain(series, prevSyn.Est, win.lo, win.hi, st)
-				outcomes[i] = &out
-				if errs[i] != nil || out.Action != ingest.Escalate {
-					return
-				}
-				defer func() {
-					if errs[i] == nil {
-						st.Reset()
-					}
-				}()
-			}
-			if partial {
-				ests[i], stats[i], errs[i] = build.Rebuild(series, sp.Options, prevSyn.Est, win.lo, win.hi)
-				return
-			}
-			ests[i], errs[i] = build.Build(series, build.WithApprox(sp.Options, len(counts), s.cfg.ApproxCutover))
+			ests[i], steps[i], errs[i] = build.Refresh(series, version, sp.Options, from, c.Window, st, c.Cutover)
 		})
 	}
 	parallel.Do(tasks...)
@@ -708,37 +609,9 @@ func (s *Server) Rebuild() error {
 			return fail(fmt.Errorf("serve: building synopsis %q: %w", specs[i].Name, err))
 		}
 	}
-	var segR, segU int64
-	for i := range stats {
-		segR += int64(stats[i].Rebuilt)
-		segU += int64(stats[i].Reused)
-	}
-	if segR+segU > 0 {
-		s.segRebuilt.Add(segR)
-		s.segReused.Add(segU)
-	}
-	for _, out := range outcomes {
-		if out == nil {
-			continue
-		}
-		switch out.Action {
-		case ingest.Escalate:
-			s.ingEscalated.Add(1)
-			continue // the fall-through rebuild happened; nothing avoided
-		case ingest.Reopt:
-			s.ingReopt.Add(1)
-		case ingest.Repair:
-			s.ingRepaired.Add(1)
-		default:
-			s.ingAbsorbed.Add(1)
-		}
-		s.ingAvoided.Add(1)
-	}
 	// Fold accepted shard estimators into the fresh local synopses, in
 	// arrival order, so shard contributions survive the snapshot swap.
-	sharded := make([]bool, len(specs))
 	for i, sp := range specs {
-		sharded[i] = len(shardsFor[i]) > 0
 		for _, shard := range shardsFor[i] {
 			merged, err := method.MustLookup(sp.Options.Method).Merge(ests[i], shard)
 			if err != nil {
@@ -748,15 +621,19 @@ func (s *Server) Rebuild() error {
 		}
 	}
 	// Error models, built concurrently against the snapshot's own prefix
-	// tables. Shard-folded synopses get none: their answers cover remote
-	// records the local tables cannot see, so no local bound is valid (the
-	// planner skips them outright under finite budgets). A model failure
-	// just leaves that synopsis serving unbounded. Reused synopses carried
-	// their model over above.
+	// tables. Reused synopses carry theirs over. Shard-folded synopses get
+	// none: their answers cover remote records the local tables cannot
+	// see, so no local bound is valid (the planner skips them outright
+	// under finite budgets). A model failure just leaves that synopsis
+	// serving unbounded.
 	var mtasks []func()
 	for i, sp := range specs {
+		if steps[i].Rung == build.Reuse {
+			ems[i] = prevSyns[i].ErrModel
+			continue
+		}
 		d, err := method.Lookup(sp.Options.Method)
-		if sharded[i] || reused[i] || err != nil || !d.Caps.Has(method.ErrorBounded) {
+		if len(shardsFor[i]) > 0 || err != nil || !d.Caps.Has(method.ErrorBounded) {
 			continue
 		}
 		tab := snap.count
@@ -783,7 +660,7 @@ func (s *Server) Rebuild() error {
 	return nil
 }
 
-// debounceLoop turns MarkDirty signals into background rebuilds: it waits
+// debounceLoop turns mutation signals into background rebuilds: it waits
 // for a quiet period after the last mutation before rebuilding, but never
 // lets the snapshot lag more than MaxLag behind a mutation.
 func (s *Server) debounceLoop() {

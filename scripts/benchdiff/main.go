@@ -40,8 +40,8 @@ import (
 
 // baselineFile is the committed BENCH_baseline.json: the flags the
 // medians were collected under, and median ns/op per benchmark (names
-// without the Benchmark prefix or the -GOMAXPROCS suffix, so baselines
-// compare across machines with different core counts).
+// without the Benchmark prefix or the -cpu suffix, so baselines compare
+// across machines with different core counts).
 type baselineFile struct {
 	Bench     string `json:"bench"`
 	Benchtime string `json:"benchtime"`
@@ -78,6 +78,7 @@ func main() {
 		passes = *count
 	}
 	perPass := *count / passes
+	procs := runtime.GOMAXPROCS(0)
 	cal := calibrate()
 	var outs strings.Builder
 	for p := 0; p < passes; p++ {
@@ -85,7 +86,7 @@ func main() {
 		if p == passes-1 {
 			n = *count - perPass*(passes-1)
 		}
-		out, err := runBenchmarks(*pkg, *bench, *benchtime, n)
+		out, err := runBenchmarks(*pkg, *bench, *benchtime, n, procs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n%s\n", err, out)
 			os.Exit(2)
@@ -94,7 +95,7 @@ func main() {
 		outs.WriteByte('\n')
 		cal = math.Min(cal, calibrate())
 	}
-	stats := reduce(parseBench(outs.String()))
+	stats := reduce(parseBench(outs.String(), procs))
 	if len(stats) == 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: no benchmarks matched %q\n", *bench)
 		os.Exit(2)
@@ -151,8 +152,10 @@ func main() {
 }
 
 // runBenchmarks shells out to go test and returns the combined output.
-func runBenchmarks(pkg, bench, benchtime string, count int) (string, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
+// The explicit -cpu pins the suffix go test appends to every benchmark
+// name, so parseBench knows exactly which suffix to strip.
+func runBenchmarks(pkg, bench, benchtime string, count, procs int) (string, error) {
+	cmd := exec.Command("go", "test", "-run", "^$", "-cpu", strconv.Itoa(procs),
 		"-bench", bench, "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
 	out, err := cmd.CombinedOutput()
 	return string(out), err
@@ -187,11 +190,10 @@ var calSink uint64
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.eE+]+) ns/op`)
 
-// parseBench extracts every ns/op sample from go test -bench output,
-// keyed by normalized benchmark name (Benchmark prefix and -GOMAXPROCS
-// suffix stripped). With -count > 1 each benchmark yields several
-// samples.
-func parseBench(out string) map[string][]float64 {
+// parseBench extracts every ns/op sample from go test -bench output run
+// at -cpu procs, keyed by normalized benchmark name. With -count > 1 each
+// benchmark yields several samples.
+func parseBench(out string, procs int) map[string][]float64 {
 	samples := make(map[string][]float64)
 	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
@@ -202,16 +204,22 @@ func parseBench(out string) map[string][]float64 {
 		if err != nil {
 			continue
 		}
-		name := normalizeName(m[1])
+		name := normalizeName(m[1], procs)
 		samples[name] = append(samples[name], ns)
 	}
 	return samples
 }
 
-var procsSuffix = regexp.MustCompile(`-\d+$`)
-
-func normalizeName(name string) string {
-	return procsSuffix.ReplaceAllString(strings.TrimPrefix(name, "Benchmark"), "")
+// normalizeName strips the Benchmark prefix and the "-<procs>" suffix go
+// test appends when a benchmark runs at -cpu procs. At procs == 1 go test
+// appends nothing, so nothing is stripped: a trailing "-256" there is part
+// of the benchmark's own name.
+func normalizeName(name string, procs int) string {
+	name = strings.TrimPrefix(name, "Benchmark")
+	if procs == 1 {
+		return name
+	}
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }
 
 // benchStat is one benchmark's reduced samples: the median ns/op (the

@@ -18,7 +18,7 @@ ok  	rangeagg	12.3s
 `
 
 func TestParseBenchAndMedians(t *testing.T) {
-	samples := parseBench(sampleOutput)
+	samples := parseBench(sampleOutput, 8)
 	if got := len(samples["ConstructScaling/A0/n=128"]); got != 3 {
 		t.Fatalf("A0 samples = %d, want 3", got)
 	}
@@ -35,13 +35,27 @@ func TestParseBenchAndMedians(t *testing.T) {
 }
 
 func TestNormalizeName(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkConstructScaling/SAP0/n=512-16": "ConstructScaling/SAP0/n=512",
-		"BenchmarkServeHTTP/single-256-8":         "ServeHTTP/single-256",
-		"BenchmarkFoo":                            "Foo",
+	for _, tc := range []struct {
+		in    string
+		procs int
+		want  string
+	}{
+		// A 1-core host: go test appends no suffix, so a benchmark's own
+		// trailing number must survive.
+		{"BenchmarkServeHTTP/single-256", 1, "ServeHTTP/single-256"},
+		{"BenchmarkRouterFanout/batch-256", 1, "RouterFanout/batch-256"},
+		{"BenchmarkSegmentedRebuild/dirty-1-of-8", 1, "SegmentedRebuild/dirty-1-of-8"},
+		{"BenchmarkConstructScaling/SAP0/n=512", 1, "ConstructScaling/SAP0/n=512"},
+		{"BenchmarkFoo", 1, "Foo"},
+		// A 4-core host: exactly the "-4" suffix goes.
+		{"BenchmarkServeHTTP/single-256-4", 4, "ServeHTTP/single-256"},
+		{"BenchmarkRouterFanout/batch-256-4", 4, "RouterFanout/batch-256"},
+		{"BenchmarkSegmentedRebuild/dirty-1-of-8-4", 4, "SegmentedRebuild/dirty-1-of-8"},
+		{"BenchmarkConstructScaling/SAP0/n=512-4", 4, "ConstructScaling/SAP0/n=512"},
+		{"BenchmarkFoo-4", 4, "Foo"},
 	} {
-		if got := normalizeName(in); got != want {
-			t.Errorf("normalizeName(%q) = %q, want %q", in, got, want)
+		if got := normalizeName(tc.in, tc.procs); got != tc.want {
+			t.Errorf("normalizeName(%q, %d) = %q, want %q", tc.in, tc.procs, got, tc.want)
 		}
 	}
 }
