@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint
+.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint perfbench-test
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,8 @@ benchdiff:
 bench-baseline:
 	$(GO) run ./scripts/benchdiff -update
 
+# The single source of truth for the fuzz smoke list: CI's "Fuzz smoke"
+# step runs `make fuzz-smoke` rather than repeating it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadSynopsis -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEngineQuery -fuzztime 10s ./internal/engine
@@ -44,3 +46,11 @@ cover:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./scripts/switchlint
+
+# perfbench is its own Go module, so `go vet ./...` and `go test ./...`
+# at the root never compile it. Vet and test it with run.sh's offline
+# settings; its TestSmoke runs every workload for 1 s through the real
+# handlers and checks every answer against ground truth.
+perfbench-test:
+	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTOOLCHAIN=local && \
+		$(GO) vet ./... && $(GO) test ./...

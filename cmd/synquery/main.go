@@ -18,23 +18,25 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"rangeagg"
+	"rangeagg/internal/cluster"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/method"
 	"rangeagg/internal/plan"
 	"rangeagg/internal/prefix"
+	"rangeagg/internal/serve"
 )
 
 type queryList []string
@@ -189,38 +191,21 @@ func runRemote(base, name, metric string, queries []string, maxErr float64, retr
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, qs := range queries {
-		parts := strings.SplitN(qs, ":", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("query %q: want a:b", qs)
-		}
-		v := url.Values{}
-		v.Set("a", parts[0])
-		v.Set("b", parts[1])
-		if name != "" {
-			v.Set("syn", name)
-		}
-		if metric != "" {
-			v.Set("metric", metric)
-		}
-		if !math.IsNaN(maxErr) {
-			v.Set("maxerr", strconv.FormatFloat(maxErr, 'g', -1, 64))
-		}
-		body, err := getWithRetry(client, base+"/query?"+v.Encode(), retries)
+		a, b, err := parseRange(qs, 0)
 		if err != nil {
+			return err
+		}
+		p := serve.QueryParams{Synopsis: name, Metric: metric, A: a, B: b}
+		if !math.IsNaN(maxErr) {
+			p.MaxErr = &maxErr
+		}
+		// A node's answer decodes too: it is the routed one without
+		// partial, windows and versions.
+		var ans cluster.RoutedAnswer
+		if err := getWithRetry(client, base+"/query?"+p.Encode(), retries, &ans); err != nil {
 			return fmt.Errorf("query %s: %w", qs, err)
 		}
-		var ans struct {
-			Value    float64  `json:"value"`
-			Err      *float64 `json:"err"`
-			Path     string   `json:"path"`
-			Source   string   `json:"source"`
-			Partial  *bool    `json:"partial"`
-			Rigorous bool     `json:"rigorous"`
-		}
-		if err := json.Unmarshal(body, &ans); err != nil {
-			return fmt.Errorf("query %s: decoding answer: %w", qs, err)
-		}
-		line := fmt.Sprintf("  s[%s,%s] ≈ %.2f", parts[0], parts[1], ans.Value)
+		line := fmt.Sprintf("  s[%d,%d] ≈ %.2f", a, b, ans.Value)
 		if ans.Err != nil {
 			line += fmt.Sprintf(" ±%.2f", *ans.Err)
 		}
@@ -230,7 +215,7 @@ func runRemote(base, name, metric string, queries []string, maxErr float64, retr
 		if ans.Source != "" {
 			line += "   source " + ans.Source
 		}
-		if ans.Partial != nil && *ans.Partial {
+		if ans.Partial {
 			line += "   PARTIAL (some windows unserved)"
 		}
 		fmt.Println(line)
@@ -238,9 +223,10 @@ func runRemote(base, name, metric string, queries []string, maxErr float64, retr
 	return nil
 }
 
-// getWithRetry GETs the URL, retrying transient failures with
-// exponential backoff (50ms base, doubling, up to 50% jitter).
-func getWithRetry(client *http.Client, u string, attempts int) ([]byte, error) {
+// getWithRetry GETs the URL and decodes its answer into out, retrying
+// transient failures with exponential backoff (50ms base, doubling, up
+// to 50% jitter).
+func getWithRetry(client *http.Client, u string, attempts int, out any) error {
 	backoff := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -258,30 +244,27 @@ func getWithRetry(client *http.Client, u string, attempts int) ([]byte, error) {
 			lastErr = err // connection refused, timeout, DNS — transient
 			continue
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		err = serve.CheckResponse(resp)
+		if err == nil {
+			err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out)
+			resp.Body.Close()
+			if err != nil {
+				return fmt.Errorf("decoding answer: %w", err)
+			}
+			return nil
+		}
 		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
+		var se *serve.StatusError
+		if errors.As(err, &se) && se.Permanent() {
+			return err // the request is bad
 		}
-		if resp.StatusCode == http.StatusOK {
-			return body, nil
-		}
-		msg := resp.Status
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = fmt.Sprintf("%s: %s", resp.Status, e.Error)
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, fmt.Errorf("%s", msg) // permanent: the request is bad
-		}
-		lastErr = fmt.Errorf("%s", msg)
+		lastErr = err
 	}
-	return nil, fmt.Errorf("after %d attempts: %w", attempts, lastErr)
+	return fmt.Errorf("after %d attempts: %w", attempts, lastErr)
 }
 
+// parseRange parses a query a:b; a positive n also requires it to lie
+// in the domain [0,n).
 func parseRange(s string, n int) (int, int, error) {
 	parts := strings.SplitN(s, ":", 2)
 	if len(parts) != 2 {
@@ -295,7 +278,7 @@ func parseRange(s string, n int) (int, int, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("query %q: %v", s, err)
 	}
-	if a < 0 || b >= n || a > b {
+	if n > 0 && (a < 0 || b >= n || a > b) {
 		return 0, 0, fmt.Errorf("query %q outside domain [0,%d)", s, n)
 	}
 	return a, b, nil

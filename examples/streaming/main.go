@@ -1,8 +1,8 @@
-// Streaming example: dynamic synopsis maintenance. A live feed of record
-// insertions updates a range synopsis in O(log n) per record — no rebuild
-// — and queries always reflect the latest data, the dynamic-maintenance
-// setting of the paper's wavelet references. The example also shows the
-// advisor picking a method for the observed query workload.
+// Streaming example: a range synopsis over a live feed of record
+// insertions. Each record lands in an exact copy of the counts in O(1);
+// the first query after a burst rebuilds the WAVE-RANGEOPT synopsis from
+// that copy, so queries always reflect the latest data. The example also
+// shows the advisor picking a method for the observed query workload.
 package main
 
 import (

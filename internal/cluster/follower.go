@@ -106,8 +106,8 @@ func (f *Follower) PullOnce() error {
 		return fmt.Errorf("pulling checkpoint: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("pulling checkpoint: %s", resp.Status)
+	if err := serve.CheckResponse(resp); err != nil {
+		return fmt.Errorf("pulling checkpoint: %w", err)
 	}
 	// Fast path: the primary advertises the checkpoint index in a
 	// header; identical index means identical state — skip the decode,

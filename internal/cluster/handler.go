@@ -1,34 +1,30 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
-	"rangeagg/internal/obs"
 	"rangeagg/internal/parallel"
 	"rangeagg/internal/serve"
 )
 
 // NewHandler exposes a Router over HTTP/JSON with the same query
-// surface as a single node, so clients (synquery among them) can point
-// at a router instead of a node without changing shape:
+// surface and frame as a single node (serve.Mux), so clients (synquery
+// among them) can point at a router instead of a node without changing
+// shape. Request bodies are the node's (serve's wire types); the router
+// adds only its routed answers:
 //
-//	GET  /healthz       router readiness (every window reachable) plus
-//	                    the latest health observation per node endpoint
-//	GET  /topology      the validated topology descriptor
-//	GET  /query         one routed query: ?a=&b=[&syn=][&metric=][&maxerr=]
-//	POST /query/batch   {"synopsis","metric","ranges":[[a,b],...],"maxerr"}
-//	POST /ingest        {"inserts":[{"value","count"}],"deletes":[...]}
-//	                    — mutations forwarded to each value's owner
-//	POST /load          {"counts":[...]} — a full-domain load split into
-//	                    per-owner slices
-//	GET  /metrics       per-endpoint request/error/latency stats (JSON)
+//	GET  /healthz       RouterHealth: readiness (every window reachable)
+//	                    plus the latest observation per node endpoint
+//	GET  /topology      the validated Topology
+//	GET  /query         serve.QueryParams → RoutedAnswer
+//	POST /query/batch   serve.BatchRequest → BatchResult
+//	POST /ingest        serve.IngestRequest → Forwarded: mutations
+//	                    forwarded to each value's owner
+//	POST /load          serve.LoadRequest → Forwarded: a full-domain load
+//	                    split into per-owner slices
+//	GET  /metrics       serve.MetricsReport with the endpoint stats only
 //	GET  /metrics.prom  the same plus the process-wide obs series
 //
 // Routed answers add the partial-answer contract to the node response:
@@ -36,47 +32,25 @@ import (
 // range touched, whether it was served exactly, approximately, or not
 // at all.
 func NewHandler(r *Router, m *serve.Metrics) http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern, method string, fn func(w http.ResponseWriter, req *http.Request) (int, error)) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
-			start := time.Now()
-			status, err := 0, error(nil)
-			if req.Method != method {
-				status = http.StatusMethodNotAllowed
-				err = fmt.Errorf("method %s not allowed", req.Method)
-			} else {
-				status, err = fn(w, req)
-			}
-			if err != nil {
-				routerWriteJSON(w, status, map[string]string{"error": err.Error()})
-			}
-			m.Observe(strings.TrimPrefix(pattern, "/"), time.Since(start), err != nil)
-		})
-	}
+	x := serve.NewMux(m)
 
-	handle("/healthz", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		ready := r.Ready()
+	x.Handle("/healthz", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		body := RouterHealth{Ready: r.Ready(), Role: "router", Status: "ok"}
+		body.Nodes = r.NodeHealths()
 		status := http.StatusOK
-		if !ready {
-			status = http.StatusServiceUnavailable
+		if !body.Ready {
+			status, body.Status = http.StatusServiceUnavailable, "degraded"
 		}
-		body := map[string]any{
-			"status": map[bool]string{true: "ok", false: "degraded"}[ready],
-			"ready":  ready,
-			"role":   "router",
-			"nodes":  r.NodeHealths(),
-		}
-		routerWriteJSON(w, status, body)
+		serve.WriteJSON(w, status, body)
 		return 0, nil
 	})
 
-	handle("/topology", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		routerWriteJSON(w, http.StatusOK, r.Topology())
-		return 0, nil
+	x.Handle("/topology", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		return serve.Reply(w, r.Topology())
 	})
 
-	handle("/query", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		q, err := queryFromURL(req)
+	x.Handle("/query", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		q, err := serve.ParseQueryParams(req.URL.Query())
 		if err != nil {
 			return http.StatusBadRequest, err
 		}
@@ -84,70 +58,41 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		resp := map[string]any{
-			"value":    res.Answer.Value,
-			"path":     res.Answer.Path.String(),
-			"source":   res.Answer.Source,
-			"partial":  res.Partial,
-			"windows":  res.Windows,
-			"versions": res.Versions,
-		}
-		if !math.IsInf(res.Answer.Bound, 1) {
-			resp["err"] = res.Answer.Bound
-			resp["rigorous"] = res.Answer.Rigorous
-		}
-		routerWriteJSON(w, http.StatusOK, resp)
-		return 0, nil
+		bound, rigorous := serve.WireBound(res.Answer.Bound, res.Answer.Rigorous)
+		return serve.Reply(w, RoutedAnswer{Err: bound, Partial: res.Partial, Path: res.Answer.Path.String(),
+			Rigorous: rigorous, Source: res.Answer.Source, Value: res.Answer.Value,
+			Versions: res.Versions, Windows: res.Windows})
 	})
 
-	handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		var body struct {
-			Synopsis string   `json:"synopsis"`
-			Metric   string   `json:"metric"`
-			Ranges   [][2]int `json:"ranges"`
-			MaxErr   *float64 `json:"maxerr"`
-		}
+	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		var body serve.BatchRequest
 		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
 		}
-		if body.MaxErr != nil && (*body.MaxErr < 0 || math.IsNaN(*body.MaxErr)) {
-			return http.StatusBadRequest, fmt.Errorf("maxerr must be a non-negative number, got %g", *body.MaxErr)
+		if err := serve.CheckMaxErr(body.MaxErr); err != nil {
+			return http.StatusBadRequest, err
 		}
 		res, err := r.RouteBatch(req.Context(), body.Synopsis, body.Metric, body.Ranges, body.MaxErr)
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		routerWriteJSON(w, http.StatusOK, map[string]any{
-			"values":   res.Values,
-			"errs":     res.Errs,
-			"served":   res.Served,
-			"partial":  res.Partial,
-			"windows":  res.Windows,
-			"versions": res.Versions,
-		})
-		return 0, nil
+		return serve.Reply(w, res)
 	})
 
-	handle("/ingest", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		var body struct {
-			Inserts []mutation `json:"inserts"`
-			Deletes []mutation `json:"deletes"`
-		}
+	x.Handle("/ingest", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		var body serve.IngestRequest
 		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
 		}
-		applied, err := r.forwardIngest(req, body.Inserts, body.Deletes)
+		applied, err := r.forwardIngest(req, body)
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		routerWriteJSON(w, http.StatusOK, map[string]any{"ok": true, "nodes": applied})
-		return 0, nil
+		return serve.Reply(w, Forwarded{Nodes: applied, OK: true})
 	})
 
-	handle("/load", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		var body struct {
-			Counts []int64 `json:"counts"`
-		}
+	x.Handle("/load", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		var body serve.LoadRequest
 		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
 		}
@@ -159,166 +104,115 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		routerWriteJSON(w, http.StatusOK, map[string]any{"ok": true, "nodes": applied})
-		return 0, nil
+		return serve.Reply(w, Forwarded{Nodes: applied, OK: true})
 	})
 
-	handle("/metrics", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		routerWriteJSON(w, http.StatusOK, map[string]any{"endpoints": m.Snapshot()})
-		return 0, nil
+	x.Handle("/metrics", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
+		return serve.Reply(w, serve.MetricsReport{Endpoints: m.Snapshot()})
 	})
 
-	handle("/metrics.prom", http.MethodGet, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.WriteText(w, m.Registry(), obs.Default); err != nil {
-			return http.StatusInternalServerError, err
-		}
-		return 0, nil
-	})
-
-	return mux
+	return x
 }
 
-// mutation is one ingest entry, routed to its value's owner.
-type mutation struct {
-	Value int   `json:"value"`
-	Count int64 `json:"count"`
+// RoutedAnswer is the router's GET /query body: the merged answer in the
+// node's shape (serve.QueryAnswer, less the node's version) plus the
+// partial-answer contract and the served versions per node.
+type RoutedAnswer struct {
+	Err      *float64         `json:"err,omitempty"`
+	Partial  bool             `json:"partial"`
+	Path     string           `json:"path"`
+	Rigorous *bool            `json:"rigorous,omitempty"`
+	Source   string           `json:"source"`
+	Value    float64          `json:"value"`
+	Versions map[string]int64 `json:"versions"`
+	Windows  []WindowReport   `json:"windows"`
 }
 
-// queryFromURL parses the router query parameters (the node's surface;
-// the metric stays a wire name — owning nodes validate it).
-func queryFromURL(req *http.Request) (Query, error) {
-	var q Query
-	v := req.URL.Query()
-	a, err := strconv.Atoi(v.Get("a"))
-	if err != nil {
-		return q, fmt.Errorf("parameter a: %w", err)
-	}
-	b, err := strconv.Atoi(v.Get("b"))
-	if err != nil {
-		return q, fmt.Errorf("parameter b: %w", err)
-	}
-	q.A, q.B = a, b
-	q.Synopsis = v.Get("syn")
-	q.Metric = v.Get("metric")
-	if s := v.Get("maxerr"); s != "" {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return q, fmt.Errorf("parameter maxerr: %w", err)
-		}
-		if f < 0 || math.IsNaN(f) {
-			return q, fmt.Errorf("maxerr must be a non-negative number, got %g", f)
-		}
-		q.MaxErr = &f
-	}
-	return q, nil
+// Forwarded is the router's POST /ingest and /load body: the nodes whose
+// primaries applied a share of the mutation.
+type Forwarded struct {
+	Nodes []string `json:"nodes"`
+	OK    bool     `json:"ok"`
+}
+
+// RouterHealth is the router's GET /healthz body.
+type RouterHealth struct {
+	Nodes  []NodeHealth `json:"nodes"`
+	Ready  bool         `json:"ready"`
+	Role   string       `json:"role"`
+	Status string       `json:"status"`
 }
 
 // forwardIngest splits the mutations by owning node and forwards each
 // node's share to its primary (writes do not fail over: the primary is
 // the write authority, replicas converge through replication).
-func (r *Router) forwardIngest(req *http.Request, inserts, deletes []mutation) ([]string, error) {
-	ins := make([][]mutation, len(r.topo.Nodes))
-	dels := make([][]mutation, len(r.topo.Nodes))
-	owner := func(value int) (int, error) {
+func (r *Router) forwardIngest(req *http.Request, body serve.IngestRequest) ([]string, error) {
+	shares := make([]serve.IngestRequest, len(r.topo.Nodes))
+	owner := func(value int) (*serve.IngestRequest, error) {
 		for i := range r.topo.Nodes {
 			if w := r.topo.Nodes[i].Window; value >= w.Lo && value <= w.Hi {
-				return i, nil
+				return &shares[i], nil
 			}
 		}
-		return 0, fmt.Errorf("value %d is outside the domain [0,%d)", value, r.topo.Domain)
+		return nil, fmt.Errorf("value %d is outside the domain [0,%d)", value, r.topo.Domain)
 	}
-	for _, mu := range inserts {
-		i, err := owner(mu.Value)
+	for _, mu := range body.Inserts {
+		share, err := owner(mu.Value)
 		if err != nil {
 			return nil, err
 		}
-		ins[i] = append(ins[i], mu)
+		share.Inserts = append(share.Inserts, mu)
 	}
-	for _, mu := range deletes {
-		i, err := owner(mu.Value)
+	for _, mu := range body.Deletes {
+		share, err := owner(mu.Value)
 		if err != nil {
 			return nil, err
 		}
-		dels[i] = append(dels[i], mu)
+		share.Deletes = append(share.Deletes, mu)
 	}
-	return r.forwardToPrimaries(req, func(i int) (any, bool) {
-		if len(ins[i]) == 0 && len(dels[i]) == 0 {
-			return nil, false
-		}
-		return map[string]any{"inserts": ins[i], "deletes": dels[i]}, true
-	}, "/ingest")
+	return r.forwardToPrimaries(req, "/ingest", func(i int) (any, bool) {
+		return shares[i], len(shares[i].Inserts)+len(shares[i].Deletes) > 0
+	})
 }
 
 // forwardLoad splits a full-domain load into one full-domain slice per
 // node, zero outside its window (each node's engine spans the whole
 // domain; only its owned window carries data).
 func (r *Router) forwardLoad(req *http.Request, counts []int64) ([]string, error) {
-	return r.forwardToPrimaries(req, func(i int) (any, bool) {
+	return r.forwardToPrimaries(req, "/load", func(i int) (any, bool) {
 		w := r.topo.Nodes[i].Window
 		slice := make([]int64, len(counts))
 		copy(slice[w.Lo:w.Hi+1], counts[w.Lo:w.Hi+1])
-		return map[string]any{"counts": slice}, true
-	}, "/load")
+		return serve.LoadRequest{Counts: slice}, true
+	})
 }
 
 // forwardToPrimaries POSTs each node's body to its primary on the
 // bounded pool; any failure fails the whole request (writes have no
 // partial-answer mode — the caller retries).
-func (r *Router) forwardToPrimaries(req *http.Request, body func(i int) (any, bool), path string) ([]string, error) {
-	type result struct {
-		node string
-		err  error
-	}
-	results := make([]result, len(r.topo.Nodes))
-	tasks := make([]func(), 0, len(r.topo.Nodes))
+func (r *Router) forwardToPrimaries(req *http.Request, path string, body func(i int) (any, bool)) ([]string, error) {
+	errs := make([]error, len(r.topo.Nodes))
+	sent := make([]bool, len(r.topo.Nodes))
+	var tasks []func()
 	for i := range r.topo.Nodes {
 		b, ok := body(i)
 		if !ok {
 			continue
 		}
 		i, b := i, b
-		tasks = append(tasks, func() {
-			n := &r.topo.Nodes[i]
-			results[i].node = n.ID
-			data, err := json.Marshal(b)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			post, err := http.NewRequestWithContext(req.Context(), http.MethodPost, n.Addr+path, bytes.NewReader(data))
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			post.Header.Set("Content-Type", "application/json")
-			resp, err := r.client.Do(post)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				results[i].err = httpError(resp)
-			}
-		})
+		sent[i] = true
+		tasks = append(tasks, func() { errs[i] = r.call(req.Context(), r.topo.Nodes[i].Addr, path, b, nil) })
 	}
 	parallel.Do(tasks...)
 	var applied []string
-	for _, res := range results {
-		if res.node == "" {
+	for i, n := range r.topo.Nodes {
+		if !sent[i] {
 			continue
 		}
-		if res.err != nil {
-			return nil, fmt.Errorf("forwarding to %s: %w", res.node, res.err)
+		if errs[i] != nil {
+			return nil, fmt.Errorf("forwarding to %s: %w", n.ID, errs[i])
 		}
-		applied = append(applied, res.node)
+		applied = append(applied, n.ID)
 	}
 	return applied, nil
-}
-
-func routerWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -9,6 +9,7 @@ import (
 
 	"rangeagg/internal/obs"
 	"rangeagg/internal/parallel"
+	"rangeagg/internal/serve"
 )
 
 // replicaLagGauge exports each replica's lag behind its primary in
@@ -33,17 +34,6 @@ type NodeHealth struct {
 	Applied   uint64    `json:"applied"`
 	Err       string    `json:"err,omitempty"`
 	CheckedAt time.Time `json:"checked_at"`
-}
-
-// healthzBody is the slice of serve's /healthz response the router
-// consumes.
-type healthzBody struct {
-	Ready   bool   `json:"ready"`
-	Version int64  `json:"version"`
-	Applied uint64 `json:"applied"`
-	Follow  *struct {
-		Applied uint64 `json:"applied"`
-	} `json:"follow"`
 }
 
 // healthTracker polls every endpoint's /healthz on an interval and
@@ -122,7 +112,7 @@ func (h *healthTracker) probe(endpoint string) NodeHealth {
 		return nh
 	}
 	defer resp.Body.Close()
-	var body healthzBody
+	var body serve.HealthStatus
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		nh.Err = fmt.Sprintf("decoding healthz: %v", err)
 		return nh

@@ -10,14 +10,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
 	"rangeagg/internal/obs"
 	"rangeagg/internal/parallel"
 	"rangeagg/internal/plan"
+	"rangeagg/internal/serve"
 )
 
 // Router metrics (process-wide): fan-out latency per routed query,
@@ -62,14 +61,9 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// Query is one routed request, mirroring serve.Query with the metric as
-// its wire name.
-type Query struct {
-	Synopsis string
-	Metric   string
-	A, B     int
-	MaxErr   *float64
-}
+// Query is one routed request: the node's GET /query parameters, with
+// the metric as its wire name (the owning nodes validate it).
+type Query = serve.QueryParams
 
 // WindowReport says how one window of a routed query was served; the
 // partial-answer contract is the list of these. Status is "exact"
@@ -100,16 +94,17 @@ type RouteResult struct {
 	Versions map[string]int64
 }
 
-// BatchResult is the routed batch answer: per-range values and bounds
-// (nil bound = unbounded), Served flags (false when a failed window
-// truncates that range's value), and the shared window reports.
+// BatchResult is the routed batch answer, and the router's POST
+// /query/batch body: per-range values and bounds (nil bound =
+// unbounded), Served flags (false when a failed window truncates that
+// range's value), and the shared window reports.
 type BatchResult struct {
-	Values   []float64
-	Errs     []*float64
-	Served   []bool
-	Partial  bool
-	Windows  []WindowReport
-	Versions map[string]int64
+	Errs     []*float64       `json:"errs"`
+	Partial  bool             `json:"partial"`
+	Served   []bool           `json:"served"`
+	Values   []float64        `json:"values"`
+	Versions map[string]int64 `json:"versions"`
+	Windows  []WindowReport   `json:"windows"`
 }
 
 // Router fans queries out across a topology's segment owners and merges
@@ -218,8 +213,16 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// permanentError marks a sub-query failure retries cannot fix (the node
-// rejected the request itself, e.g. an unknown synopsis name).
+// permanent reports whether a failed attempt cannot succeed on another
+// endpoint: the node refused the request itself (a 4xx), or answered a
+// batch with the wrong number of values.
+func permanent(err error) bool {
+	var se *serve.StatusError
+	var pe *permanentError
+	return errors.As(err, &pe) || errors.As(err, &se) && se.Permanent()
+}
+
+// permanentError is a well-formed answer that retries cannot fix.
 type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
@@ -256,14 +259,10 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 	answers := make([]plan.Answer, len(parts))
 	reports := make([]WindowReport, len(parts))
 	versions := make([]int64, len(parts))
-	served := make([]bool, len(parts))
 	tasks := make([]func(), len(parts))
 	for i := range parts {
 		i := i
-		tasks[i] = func() {
-			answers[i], versions[i], reports[i], served[i] =
-				r.subQuery(ctx, q, parts[i], budgets[i])
-		}
+		tasks[i] = func() { answers[i], versions[i], reports[i] = r.subQuery(ctx, q, parts[i], budgets[i]) }
 	}
 	parallel.Do(tasks...)
 
@@ -271,7 +270,7 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 	var firstErr string
 	for i := range parts {
 		res.Windows = append(res.Windows, reports[i])
-		if served[i] {
+		if reports[i].Status != "failed" {
 			ok0 = append(ok0, answers[i])
 			res.Versions[r.topo.Nodes[parts[i].Node].ID] = versions[i]
 		} else {
@@ -301,47 +300,59 @@ func (r *Router) splitBudget(maxErr *float64, weights []int) []float64 {
 	return plan.SplitBudget(budget, weights)
 }
 
-// subQuery serves one window from its owner, failing over through the
-// health-ordered endpoints with backoff between attempts.
-func (r *Router) subQuery(ctx context.Context, q Query, p Part, budget float64) (plan.Answer, int64, WindowReport, bool) {
-	node := &r.topo.Nodes[p.Node]
-	rep := WindowReport{Window: p.Window, Node: node.ID}
+// subQuery serves one window from its owner through the failover loop.
+func (r *Router) subQuery(ctx context.Context, q Query, p Part, budget float64) (plan.Answer, int64, WindowReport) {
+	var ans plan.Answer
+	var version int64
+	rep := r.failover(ctx, &r.topo.Nodes[p.Node], p.Window, func(ep string) (bool, error) {
+		var err error
+		ans, version, err = r.queryEndpoint(ctx, ep, q, p.Window, budget)
+		return ans.Bound == 0 && ans.Rigorous, err
+	})
+	if rep.Status != "failed" {
+		rep.Path = ans.Path.String()
+	}
+	return ans, version, rep
+}
+
+// failover is the router's one retry loop: it runs attempt against a
+// node's endpoints in health order, with backoff between tries, until
+// one succeeds, the attempt cap is reached, or a permanent error stops
+// it. attempt reports whether its answer was exact. The report covers
+// window w; its Status is "failed" when no attempt succeeded.
+func (r *Router) failover(ctx context.Context, node *Node, w Window, attempt func(endpoint string) (bool, error)) WindowReport {
+	rep := WindowReport{Window: w, Node: node.ID}
 	endpoints := r.health.order(node.Endpoints())
 	maxAttempts := r.maxAttempts(node)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < maxAttempts; i++ {
+		if i > 0 {
 			retriesTotal.Inc()
-			r.backoff(ctx, attempt)
+			r.backoff(ctx, i)
 			if ctx.Err() != nil {
 				rep.Status, rep.Err = "failed", ctx.Err().Error()
-				return plan.Answer{}, 0, rep, false
+				return rep
 			}
 		}
-		ep := endpoints[attempt%len(endpoints)]
-		rep.Attempts = attempt + 1
-		ans, version, err := r.queryEndpoint(ctx, ep, q, p.Window, budget)
+		ep := endpoints[i%len(endpoints)]
+		rep.Attempts = i + 1
+		exact, err := attempt(ep)
 		if err == nil {
-			rep.Endpoint = ep
-			rep.Replica = ep != node.Addr
-			rep.Path = ans.Path.String()
-			if ans.Bound == 0 && ans.Rigorous {
+			rep.Endpoint, rep.Replica, rep.Status = ep, ep != node.Addr, "approx"
+			if exact {
 				rep.Status = "exact"
-			} else {
-				rep.Status = "approx"
 			}
 			if rep.Replica {
 				failoversTotal.Inc()
 			}
-			return ans, version, rep, true
+			return rep
 		}
 		rep.Err = err.Error()
-		var pe *permanentError
-		if errors.As(err, &pe) {
+		if permanent(err) {
 			break
 		}
 	}
 	rep.Status = "failed"
-	return plan.Answer{}, 0, rep, false
+	return rep
 }
 
 // queryEndpoint performs one GET /query attempt against one endpoint.
@@ -350,70 +361,49 @@ func (r *Router) queryEndpoint(ctx context.Context, endpoint string, q Query, w 
 	subqueriesTotal.Inc()
 	defer func() { subquerySeconds.Since(start) }()
 
-	v := url.Values{}
-	v.Set("a", strconv.Itoa(w.Lo))
-	v.Set("b", strconv.Itoa(w.Hi))
-	if q.Metric != "" {
-		v.Set("metric", q.Metric)
-	}
-	if q.Synopsis != "" {
-		v.Set("syn", q.Synopsis)
-	}
+	sub := serve.QueryParams{Synopsis: q.Synopsis, Metric: q.Metric, A: w.Lo, B: w.Hi}
 	if !math.IsNaN(budget) {
-		v.Set("maxerr", strconv.FormatFloat(budget, 'g', -1, 64))
+		sub.MaxErr = &budget
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint+"/query?"+v.Encode(), nil)
-	if err != nil {
+	var body serve.QueryAnswer
+	if err := r.call(ctx, endpoint, "/query?"+sub.Encode(), nil, &body); err != nil {
 		return plan.Answer{}, 0, err
+	}
+	return body.Answer(), body.Version, nil
+}
+
+// call is the router's one request path to a node: a GET of path, or a
+// POST of body as JSON when body is non-nil. A non-200 answer is a
+// *serve.StatusError; a 200 answer is decoded into out when out is
+// non-nil.
+func (r *Router) call(ctx context.Context, endpoint, path string, body, out any) error {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		method, rd = http.MethodPost, bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, endpoint+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return plan.Answer{}, 0, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return plan.Answer{}, 0, httpError(resp)
+	if err := serve.CheckResponse(resp); err != nil || out == nil {
+		return err
 	}
-	var body struct {
-		Value    float64  `json:"value"`
-		Version  int64    `json:"version"`
-		Path     string   `json:"path"`
-		Source   string   `json:"source"`
-		Err      *float64 `json:"err"`
-		Rigorous bool     `json:"rigorous"`
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding answer from %s: %w", endpoint, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return plan.Answer{}, 0, fmt.Errorf("decoding answer from %s: %w", endpoint, err)
-	}
-	ans := plan.Answer{Value: body.Value, Bound: math.Inf(1), Source: body.Source}
-	if body.Err != nil {
-		ans.Bound, ans.Rigorous = *body.Err, body.Rigorous
-	}
-	if path, ok := plan.ParsePath(body.Path); ok {
-		ans.Path = path
-	} else {
-		ans.Path = plan.PathProbe
-	}
-	return ans, body.Version, nil
-}
-
-// httpError classifies a non-200 response: 4xx are permanent (the
-// request itself is bad — retrying another endpoint cannot help), 5xx
-// and everything else are transient.
-func httpError(resp *http.Response) error {
-	var body struct {
-		Error string `json:"error"`
-	}
-	msg := resp.Status
-	if data, err := io.ReadAll(io.LimitReader(resp.Body, 4096)); err == nil {
-		if json.Unmarshal(data, &body) == nil && body.Error != "" {
-			msg = fmt.Sprintf("%s: %s", resp.Status, body.Error)
-		}
-	}
-	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-		return &permanentError{msg: msg}
-	}
-	return fmt.Errorf("%s", msg)
+	return nil
 }
 
 // RouteBatch answers a batch of ranges (sharing one synopsis, metric,
@@ -463,14 +453,8 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 		}
 	}
 
-	type nodeResult struct {
-		values  []float64
-		errs    []*float64
-		version int64
-		report  WindowReport
-		ok      bool
-	}
-	results := make([]nodeResult, len(r.topo.Nodes))
+	answers := make([]serve.BatchAnswer, len(r.topo.Nodes))
+	reports := make([]WindowReport, len(r.topo.Nodes))
 	var tasks []func()
 	for ni := range r.topo.Nodes {
 		if len(perNode[ni]) == 0 {
@@ -487,8 +471,7 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 					budget = s.budget
 				}
 			}
-			values, errs, version, report, ok := r.batchNode(ctx, ni, synopsis, metric, subRanges, budget)
-			results[ni] = nodeResult{values: values, errs: errs, version: version, report: report, ok: ok}
+			answers[ni], reports[ni] = r.batchNode(ctx, ni, synopsis, metric, subRanges, budget)
 		})
 	}
 	parallel.Do(tasks...)
@@ -500,12 +483,11 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 		if len(subs) == 0 {
 			continue
 		}
-		nr := &results[ni]
-		res.Windows = append(res.Windows, nr.report)
-		if !nr.ok {
+		res.Windows = append(res.Windows, reports[ni])
+		if reports[ni].Status == "failed" {
 			res.Partial = true
 			if firstErr == "" {
-				firstErr = nr.report.Err
+				firstErr = reports[ni].Err
 			}
 			for _, s := range subs {
 				res.Served[s.rangeIdx] = false
@@ -513,21 +495,21 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 			continue
 		}
 		anyServed = true
-		res.Versions[r.topo.Nodes[ni].ID] = nr.version
+		ans := &answers[ni]
+		res.Versions[r.topo.Nodes[ni].ID] = ans.Version
 		for j, s := range subs {
-			res.Values[s.rangeIdx] += nr.values[j]
-			if nr.errs[j] == nil {
+			res.Values[s.rangeIdx] += ans.Values[j]
+			if ans.Errs[j] == nil {
 				bounds[s.rangeIdx] = math.Inf(1)
 				rigorous[s.rangeIdx] = false
 			} else {
-				bounds[s.rangeIdx] += *nr.errs[j]
+				bounds[s.rangeIdx] += *ans.Errs[j]
 			}
 		}
 	}
 	for i := range ranges {
 		if res.Served[i] && !math.IsInf(bounds[i], 1) && rigorous[i] {
-			bound := bounds[i]
-			res.Errs[i] = &bound
+			res.Errs[i] = &bounds[i]
 		}
 	}
 	if res.Partial {
@@ -539,101 +521,44 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 	return res, nil
 }
 
-// batchNode sends one node its batched sub-ranges, failing over through
-// its endpoints like subQuery. The report covers the node's whole owned
-// window (its sub-ranges all lie inside it).
-func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string, subRanges [][2]int, budget float64) ([]float64, []*float64, int64, WindowReport, bool) {
+// batchNode sends one node its batched sub-ranges through the failover
+// loop. The report covers the node's whole owned window (its sub-ranges
+// all lie inside it).
+func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string, subRanges [][2]int, budget float64) (serve.BatchAnswer, WindowReport) {
 	node := &r.topo.Nodes[ni]
-	rep := WindowReport{Window: node.Window, Node: node.ID}
-	endpoints := r.health.order(node.Endpoints())
-	maxAttempts := r.maxAttempts(node)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			retriesTotal.Inc()
-			r.backoff(ctx, attempt)
-			if ctx.Err() != nil {
-				rep.Status, rep.Err = "failed", ctx.Err().Error()
-				return nil, nil, 0, rep, false
+	var ans serve.BatchAnswer
+	rep := r.failover(ctx, node, node.Window, func(ep string) (bool, error) {
+		var err error
+		ans, err = r.batchEndpoint(ctx, ep, synopsis, metric, subRanges, budget)
+		for _, e := range ans.Errs {
+			if e == nil || *e != 0 {
+				return false, err
 			}
 		}
-		ep := endpoints[attempt%len(endpoints)]
-		rep.Attempts = attempt + 1
-		values, errs, version, err := r.batchEndpoint(ctx, ep, synopsis, metric, subRanges, budget)
-		if err == nil {
-			rep.Endpoint = ep
-			rep.Replica = ep != node.Addr
-			rep.Status = "approx"
-			allExact := true
-			for _, e := range errs {
-				if e == nil || *e != 0 {
-					allExact = false
-					break
-				}
-			}
-			if allExact {
-				rep.Status = "exact"
-			}
-			if rep.Replica {
-				failoversTotal.Inc()
-			}
-			return values, errs, version, rep, true
-		}
-		rep.Err = err.Error()
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			break
-		}
-	}
-	rep.Status = "failed"
-	return nil, nil, 0, rep, false
+		return true, err
+	})
+	return ans, rep
 }
 
 // batchEndpoint performs one POST /query/batch attempt.
-func (r *Router) batchEndpoint(ctx context.Context, endpoint, synopsis, metric string, subRanges [][2]int, budget float64) ([]float64, []*float64, int64, error) {
+func (r *Router) batchEndpoint(ctx context.Context, endpoint, synopsis, metric string, subRanges [][2]int, budget float64) (serve.BatchAnswer, error) {
 	start := time.Now()
 	subqueriesTotal.Inc()
 	defer func() { subquerySeconds.Since(start) }()
 
-	reqBody := map[string]any{"ranges": subRanges}
-	if synopsis != "" {
-		reqBody["synopsis"] = synopsis
-	}
-	if metric != "" {
-		reqBody["metric"] = metric
-	}
+	sub := serve.BatchRequest{Metric: metric, Ranges: subRanges, Synopsis: synopsis}
 	if !math.IsNaN(budget) {
-		reqBody["maxerr"] = budget
+		sub.MaxErr = &budget
 	}
-	data, err := json.Marshal(reqBody)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/query/batch", bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, 0, httpError(resp)
-	}
-	var body struct {
-		Values  []float64  `json:"values"`
-		Errs    []*float64 `json:"errs"`
-		Version int64      `json:"version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, nil, 0, fmt.Errorf("decoding batch from %s: %w", endpoint, err)
+	var body serve.BatchAnswer
+	if err := r.call(ctx, endpoint, "/query/batch", sub, &body); err != nil {
+		return serve.BatchAnswer{}, err
 	}
 	if len(body.Values) != len(subRanges) {
-		return nil, nil, 0, &permanentError{msg: fmt.Sprintf("%s returned %d values for %d ranges", endpoint, len(body.Values), len(subRanges))}
+		return serve.BatchAnswer{}, &permanentError{msg: fmt.Sprintf("%s returned %d values for %d ranges", endpoint, len(body.Values), len(subRanges))}
 	}
 	if body.Errs == nil {
 		body.Errs = make([]*float64, len(subRanges))
 	}
-	return body.Values, body.Errs, body.Version, nil
+	return body, nil
 }

@@ -61,6 +61,7 @@ type Engine struct {
 	domain  int
 	counts  []int64
 	records int64
+	sum     int64 // Σ value·count, the SUM total
 	version int64 // bumped on every mutation
 
 	// autoRefresh, when positive, rebuilds a synopsis before answering if
@@ -115,7 +116,27 @@ func New(name string, domain int) (*Engine, error) {
 	}, nil
 }
 
-// Load bulk-inserts a whole distribution (counts per value).
+// MaxTotal bounds an engine's record total and its SUM total
+// (Σ value·count) at 2^53. Every exact answer is then an integer that a
+// float64 holds exactly, which the router's exact merge and ingest's
+// bit-exact absorb rely on.
+const MaxTotal = 1 << 53
+
+// addTotals returns the record and SUM totals after adding c ≥ 0 records
+// at value v, or an OverflowError if either would pass MaxTotal. Both
+// totals are at most MaxTotal on entry, so nothing overflows int64.
+func addTotals(records, sum int64, v int, c int64) (int64, int64, error) {
+	if c > MaxTotal-records {
+		return records, sum, &OverflowError{Total: "record"}
+	}
+	if v > 0 && c > (MaxTotal-sum)/int64(v) {
+		return records, sum, &OverflowError{Total: "SUM"}
+	}
+	return records + c, sum + int64(v)*c, nil
+}
+
+// Load bulk-inserts a whole distribution (counts per value). It checks
+// every entry before it applies any, so a refused load changes nothing.
 func (e *Engine) Load(counts []int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -127,9 +148,14 @@ func (e *Engine) Load(counts []int64) error {
 	// incremental maintenance partial (one spanning the whole domain
 	// marks everything; see build.Window.Mark).
 	lo, hi := -1, -1
+	records, sum := e.records, e.sum
 	for v, c := range counts {
 		if c < 0 {
 			return fmt.Errorf("engine: negative count %d at value %d", c, v)
+		}
+		var err error
+		if records, sum, err = addTotals(records, sum, v, c); err != nil {
+			return err
 		}
 		if c > 0 {
 			if lo < 0 {
@@ -137,9 +163,11 @@ func (e *Engine) Load(counts []int64) error {
 			}
 			hi = v
 		}
-		e.counts[v] += c
-		e.records += c
 	}
+	for v, c := range counts {
+		e.counts[v] += c
+	}
+	e.records, e.sum = records, sum
 	// An all-zero load mutates nothing: the version (the staleness clock)
 	// stays put and no window dirties.
 	if lo >= 0 {
@@ -160,15 +188,18 @@ func (e *Engine) Replace(counts []int64) error {
 	if len(counts) != e.domain {
 		return fmt.Errorf("engine: replace of %d values into domain %d", len(counts), e.domain)
 	}
-	var records int64
+	var records, sum int64
 	for v, c := range counts {
 		if c < 0 {
 			return fmt.Errorf("engine: negative count %d at value %d", c, v)
 		}
-		records += c
+		var err error
+		if records, sum, err = addTotals(records, sum, v, c); err != nil {
+			return err
+		}
 	}
 	copy(e.counts, counts)
-	e.records = records
+	e.records, e.sum = records, sum
 	e.version++
 	e.markDirty(0, e.domain-1)
 	return nil
@@ -184,8 +215,12 @@ func (e *Engine) Insert(value int, occurrences int64) error {
 	if value < 0 || value >= e.domain {
 		return fmt.Errorf("engine: value %d outside domain [0,%d)", value, e.domain)
 	}
+	records, sum, err := addTotals(e.records, e.sum, value, occurrences)
+	if err != nil {
+		return err
+	}
 	e.counts[value] += occurrences
-	e.records += occurrences
+	e.records, e.sum = records, sum
 	e.version++
 	e.markDirty(value, value)
 	return nil
@@ -207,6 +242,7 @@ func (e *Engine) Delete(value int, occurrences int64) error {
 	}
 	e.counts[value] -= occurrences
 	e.records -= occurrences
+	e.sum -= int64(value) * occurrences
 	e.version++
 	e.markDirty(value, value)
 	return nil
@@ -429,12 +465,10 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	if len(shardCounts) != e.domain {
 		return nil, fmt.Errorf("engine: cannot merge domain %d into domain %d", len(shardCounts), e.domain)
 	}
-	var shardRecords int64
 	for v, c := range shardCounts {
 		if c < 0 {
 			return nil, fmt.Errorf("engine: absorbing %q: negative shard count at value %d", name, v)
 		}
-		shardRecords += c
 	}
 	d, err := method.Lookup(opts.Method)
 	if err != nil {
@@ -446,6 +480,12 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	records, sum := e.records, e.sum
+	for v, c := range shardCounts {
+		if records, sum, err = addTotals(records, sum, v, c); err != nil {
+			return nil, err
+		}
+	}
 	if mine, ok := e.synopses[name]; ok {
 		if mine.Metric != metric {
 			return nil, fmt.Errorf("engine: synopsis %q answers %s here but %s in the source",
@@ -467,7 +507,7 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	for v, c := range shardCounts {
 		e.counts[v] += c
 	}
-	e.records += shardRecords
+	e.records, e.sum = records, sum
 	e.version++
 	e.markDirty(0, e.domain-1)
 	// The merged estimator now summarizes the union distribution, so its

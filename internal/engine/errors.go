@@ -30,3 +30,15 @@ type UnknownMetricError struct {
 func (e *UnknownMetricError) Error() string {
 	return fmt.Sprintf("%s: unknown metric %q", e.Scope, e.Name)
 }
+
+// OverflowError refuses a mutation that would take the record total or
+// the SUM total (Σ value·count) above MaxTotal. The refused mutation is
+// not applied, and a durable engine does not log it.
+type OverflowError struct {
+	// Total names the total the mutation would overflow: "record" or "SUM".
+	Total string
+}
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("engine: mutation would take the %s total above 2^53", e.Total)
+}

@@ -119,7 +119,10 @@ func TestIngestSegmentedEscalation(t *testing.T) {
 	if err := e.EnableIngest("seg", ingest.Config{Mode: ingest.ModeIncremental, ReoptEvery: -1, DriftThreshold: 1.2}); err != nil {
 		t.Fatal(err)
 	}
-	mag := int64(1 << 10)
+	// Doubling from 4 keeps the SUM total below MaxTotal through the last
+	// batch and runs the same absorb → repair → escalate cycle as larger
+	// magnitudes would.
+	mag := int64(1 << 2)
 	for batch := 0; batch < 40; batch++ {
 		v := (batch * 37) % n
 		if err := e.Insert(v, mag); err != nil {

@@ -20,7 +20,7 @@ func init() {
 		Name:         "TOPBB",
 		Family:       "wavelet",
 		WordsPerUnit: 2,
-		Caps:         PrefixDecomposable | Dynamic | Serializable | ErrorBounded,
+		Caps:         PrefixDecomposable | Serializable | ErrorBounded,
 		Build: func(_ *prefix.Table, counts []int64, opt Opts) (Estimator, error) {
 			return wavelet.NewData(counts, opt.Units)
 		},
@@ -31,7 +31,7 @@ func init() {
 		Name:         "WAVE-RANGEOPT",
 		Family:       "wavelet",
 		WordsPerUnit: 2,
-		Caps:         PrefixDecomposable | Dynamic | Serializable | ErrorBounded,
+		Caps:         PrefixDecomposable | Serializable | ErrorBounded,
 		Build: func(tab *prefix.Table, _ []int64, opt Opts) (Estimator, error) {
 			return wavelet.NewRangeOpt(tab, opt.Units)
 		},

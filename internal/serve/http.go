@@ -7,8 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
@@ -16,66 +14,47 @@ import (
 	"rangeagg/internal/obs"
 )
 
-// NewHandler exposes a Server over HTTP/JSON:
+// NewHandler exposes a Server over HTTP/JSON; the bodies are the types
+// of wire.go:
 //
-//	GET  /health            liveness, data version, synopsis names
-//	GET  /healthz           readiness: snapshot version, staleness vs
+//	GET  /health            Liveness: data version, synopsis names
+//	GET  /healthz           HealthStatus: snapshot version, staleness vs
 //	                        MaxLag, replication state; 503 when not ready
 //	GET  /checkpoint        stream the newest atomic checkpoint (durable
 //	                        nodes only) — the replication pull source
-//	GET  /query             one query: ?a=&b=[&syn=][&metric=COUNT|SUM]
-//	POST /query/batch       {"synopsis","metric","ranges":[[a,b],...]}
-//	POST /ingest            {"inserts":[{"value","count"}],"deletes":[...]}
-//	POST /load              {"counts":[...]}
-//	POST /rebuild           force a snapshot rebuild now
+//	GET  /query             QueryParams → QueryAnswer
+//	POST /query/batch       BatchRequest → BatchAnswer
+//	POST /ingest            IngestRequest → Ack
+//	POST /load              LoadRequest → Ack
+//	POST /rebuild           force a snapshot rebuild now → RebuildReport
 //	GET  /synopsis          ?name= — synopsis in the synquery wire format
-//	POST /synopsis/merge    ?name= — merge a shard's synopsis (wire format body)
-//	GET  /metrics           per-endpoint request/error/latency stats (JSON,
-//	                        with p50/p95/p99), per-method build timings,
-//	                        and the durability gauges when WAL-backed
+//	POST /synopsis/merge    ?name= — merge a shard's synopsis (wire format
+//	                        body) → Ack with the published version
+//	GET  /metrics           MetricsReport: per-endpoint request/error/latency
+//	                        stats, per-method build timings, and the
+//	                        durability gauges when WAL-backed
 //	GET  /metrics.prom      the same plus every process-wide obs series in
 //	                        Prometheus text exposition format
-//	GET  /trace             recent obs spans (newest first) and slow ops
+//	GET  /trace             TraceReport: recent obs spans (newest first)
+//	                        and slow ops
 //
-// Every response is JSON; errors are {"error": "..."} with an HTTP status.
-// All observations land in m (which may be shared with other handlers).
+// Errors are an ErrorBody with an HTTP status. All observations land in
+// m (which may be shared with other handlers).
 func NewHandler(s *Server, m *Metrics) http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern, method string, fn func(w http.ResponseWriter, r *http.Request) (int, error)) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			status, err := 0, error(nil)
-			if r.Method != method {
-				status = http.StatusMethodNotAllowed
-				err = fmt.Errorf("method %s not allowed", r.Method)
-			} else {
-				status, err = fn(w, r)
-			}
-			if err != nil {
-				writeJSON(w, status, map[string]string{"error": err.Error()})
-			}
-			m.Observe(strings.TrimPrefix(pattern, "/"), time.Since(start), err != nil)
-		})
-	}
+	x := NewMux(m)
 
-	handle("/health", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/health", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		snap := s.Snapshot()
-		resp := map[string]any{
-			"status":   "ok",
-			"domain":   snap.Domain,
-			"records":  snap.Records,
-			"version":  snap.Version,
-			"rebuilds": s.Rebuilds(),
-			"synopses": snap.Names(),
-		}
+		body := Liveness{Domain: snap.Domain, Records: snap.Records, Version: snap.Version,
+			Rebuilds: s.Rebuilds(), Synopses: snap.Names(), Status: "ok"}
 		if err := s.LastError(); err != nil {
-			resp["last_rebuild_error"] = err.Error()
+			msg := err.Error()
+			body.LastRebuildError = &msg
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return 0, nil
+		return Reply(w, body)
 	})
 
-	handle("/healthz", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/healthz", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		h := s.Health()
 		status := http.StatusOK
 		if !h.Ready {
@@ -83,11 +62,11 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 			// the body carries the full readiness detail either way.
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, h)
+		WriteJSON(w, status, h)
 		return 0, nil
 	})
 
-	handle("/checkpoint", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/checkpoint", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		db := s.cfg.WAL
 		if db == nil {
 			return http.StatusConflict, fmt.Errorf("serve: node is not durable; no checkpoint to stream")
@@ -114,38 +93,27 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		return 0, nil
 	})
 
-	handle("/query", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		q, err := queryFromURL(r)
+	x.Handle("/query", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		v := r.URL.Query()
+		metric, err := engine.ParseMetric(v.Get("metric"))
 		if err != nil {
 			return http.StatusBadRequest, err
 		}
-		res, version := s.QueryOne(q)
+		p, err := ParseQueryParams(v)
+		if err != nil {
+			return http.StatusBadRequest, err
+		}
+		res, version := s.QueryOne(Query{Synopsis: p.Synopsis, Metric: metric, A: p.A, B: p.B, MaxErr: p.MaxErr})
 		if res.Err != nil {
 			return http.StatusNotFound, res.Err
 		}
-		resp := map[string]any{
-			"value":   res.Value,
-			"version": version,
-			"path":    res.Path.String(),
-			"source":  res.Source,
-		}
-		// JSON cannot encode +Inf: a model-less answer simply omits the
-		// bound instead of carrying a sentinel.
-		if !math.IsInf(res.Bound, 1) {
-			resp["err"] = res.Bound
-			resp["rigorous"] = res.Rigorous
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return 0, nil
+		bound, rigorous := WireBound(res.Bound, res.Rigorous)
+		return Reply(w, QueryAnswer{Err: bound, Path: res.Path.String(), Rigorous: rigorous,
+			Source: res.Source, Value: res.Value, Version: version})
 	})
 
-	handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		var req struct {
-			Synopsis string   `json:"synopsis"`
-			Metric   string   `json:"metric"`
-			Ranges   [][2]int `json:"ranges"`
-			MaxErr   *float64 `json:"maxerr"`
-		}
+	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		var req BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
 		}
@@ -153,41 +121,31 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		if err != nil {
 			return http.StatusBadRequest, err
 		}
-		if req.MaxErr != nil && (*req.MaxErr < 0 || math.IsNaN(*req.MaxErr)) {
-			return http.StatusBadRequest, fmt.Errorf("maxerr must be a non-negative number, got %g", *req.MaxErr)
+		if err := CheckMaxErr(req.MaxErr); err != nil {
+			return http.StatusBadRequest, err
 		}
 		qs := make([]Query, len(req.Ranges))
 		for i, rg := range req.Ranges {
 			qs[i] = Query{Synopsis: req.Synopsis, Metric: metric, A: rg[0], B: rg[1], MaxErr: req.MaxErr}
 		}
 		results, version := s.QueryBatch(qs)
-		values := make([]float64, len(results))
-		errs := make([]*float64, len(results))
+		body := BatchAnswer{Values: make([]float64, len(results)), Errs: make([]*float64, len(results)), Version: version}
+		bounds := make([]float64, len(results))
 		for i, res := range results {
 			if res.Err != nil {
 				return http.StatusNotFound, res.Err
 			}
-			values[i] = res.Value
+			body.Values[i] = res.Value
 			if !math.IsInf(res.Bound, 1) {
-				bound := res.Bound
-				errs[i] = &bound
+				bounds[i] = res.Bound
+				body.Errs[i] = &bounds[i]
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"values": values, "errs": errs, "version": version})
-		return 0, nil
+		return Reply(w, body)
 	})
 
-	handle("/ingest", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		var req struct {
-			Inserts []struct {
-				Value int   `json:"value"`
-				Count int64 `json:"count"`
-			} `json:"inserts"`
-			Deletes []struct {
-				Value int   `json:"value"`
-				Count int64 `json:"count"`
-			} `json:"deletes"`
-		}
+	x.Handle("/ingest", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		var req IngestRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
 		}
@@ -201,35 +159,28 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 				return http.StatusBadRequest, err
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-		return 0, nil
+		return Reply(w, Ack{OK: true})
 	})
 
-	handle("/load", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		var req struct {
-			Counts []int64 `json:"counts"`
-		}
+	x.Handle("/load", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		var req LoadRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
 		}
 		if err := s.Load(req.Counts); err != nil {
 			return http.StatusBadRequest, err
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-		return 0, nil
+		return Reply(w, Ack{OK: true})
 	})
 
-	handle("/rebuild", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/rebuild", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		if err := s.Rebuild(); err != nil {
 			return http.StatusInternalServerError, err
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"version": s.Snapshot().Version, "rebuilds": s.Rebuilds(),
-		})
-		return 0, nil
+		return Reply(w, RebuildReport{Version: s.Snapshot().Version, Rebuilds: s.Rebuilds()})
 	})
 
-	handle("/synopsis", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/synopsis", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		syn, err := s.Snapshot().Synopsis(r.URL.Query().Get("name"))
 		if err != nil {
 			return http.StatusNotFound, err
@@ -244,7 +195,7 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		return 0, nil
 	})
 
-	handle("/synopsis/merge", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
+	x.Handle("/synopsis/merge", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		name := r.URL.Query().Get("name")
 		est, err := codec.Read(r.Body)
 		if err != nil {
@@ -253,61 +204,39 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		if err := s.MergeSynopsis(name, est); err != nil {
 			return http.StatusConflict, err
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ok": true, "version": s.Snapshot().Version,
-		})
-		return 0, nil
+		version := s.Snapshot().Version
+		return Reply(w, Ack{OK: true, Version: &version})
 	})
 
-	handle("/metrics", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		resp := make(map[string]any)
-		for name, ep := range m.Snapshot() {
-			resp[name] = ep
-		}
-		if builds := buildSummary(); len(builds) > 0 {
-			// Per-method synopsis build histograms (process-wide): how
-			// long each family's builds take across all rebuilds so far.
-			resp["builds"] = builds
-		}
+	x.Handle("/metrics", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		// Per-method synopsis build histograms (process-wide): how long
+		// each family's builds take across all rebuilds so far.
+		body := MetricsReport{Endpoints: m.Snapshot(), Builds: buildSummary()}
 		if s.cfg.WAL != nil {
 			// Durability gauges: log traffic, fsync work, checkpoint
 			// freshness, and the records replayed at startup.
-			resp["durability"] = s.cfg.WAL.Stats()
+			st := s.cfg.WAL.Stats()
+			body.Durability = &st
 		}
 		if st := segmentStats(); st.Rebuilt+st.Reused+st.SynopsesReused > 0 {
 			// Partial-rebuild work avoidance: segments rebuilt vs carried
 			// over, and whole synopses reused across snapshot swaps.
-			resp["segments"] = st
+			body.Segments = &st
 		}
 		if st := ingestStats(); st.RebuildsAvoided+st.Escalated > 0 {
 			// Incremental-maintenance ladder: batches absorbed, values
 			// re-optimized, boundaries repaired, escalations, and the
 			// rebuilds all of that made unnecessary.
-			resp["ingest"] = st
+			body.Ingest = &st
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return 0, nil
+		return Reply(w, body)
 	})
 
-	handle("/metrics.prom", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// The handler's endpoint series plus every process-wide series
-		// (build phases, DP kernels, WAL durability, pool fan-out).
-		if err := obs.WriteText(w, m.Registry(), obs.Default); err != nil {
-			return http.StatusInternalServerError, err
-		}
-		return 0, nil
+	x.Handle("/trace", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
+		return Reply(w, TraceReport{Spans: obs.Recent(), SlowOps: obs.SlowOps()})
 	})
 
-	handle("/trace", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"spans":    obs.Recent(),
-			"slow_ops": obs.SlowOps(),
-		})
-		return 0, nil
-	})
-
-	return mux
+	return x
 }
 
 // BuildStats is the /metrics "builds" entry for one synopsis method.
@@ -382,41 +311,4 @@ func buildSummary() map[string]BuildStats {
 		}
 	})
 	return out
-}
-
-func queryFromURL(r *http.Request) (Query, error) {
-	var q Query
-	v := r.URL.Query()
-	metric, err := engine.ParseMetric(v.Get("metric"))
-	if err != nil {
-		return q, err
-	}
-	a, err := strconv.Atoi(v.Get("a"))
-	if err != nil {
-		return q, fmt.Errorf("parameter a: %w", err)
-	}
-	b, err := strconv.Atoi(v.Get("b"))
-	if err != nil {
-		return q, fmt.Errorf("parameter b: %w", err)
-	}
-	q = Query{Synopsis: v.Get("syn"), Metric: metric, A: a, B: b}
-	if me := v.Get("maxerr"); me != "" {
-		f, err := strconv.ParseFloat(me, 64)
-		if err != nil {
-			return q, fmt.Errorf("parameter maxerr: %w", err)
-		}
-		if f < 0 || math.IsNaN(f) {
-			return q, fmt.Errorf("maxerr must be a non-negative number, got %g", f)
-		}
-		q.MaxErr = &f
-	}
-	return q, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding errors past the header write can only be I/O errors on a
-	// dead client; there is nothing useful to do with them.
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -181,12 +182,12 @@ func TestHandlerMetricsAndMethodChecks(t *testing.T) {
 		t.Fatalf("POST /health status %d", resp.StatusCode)
 	}
 
-	stats := getJSON(t, ts.URL+"/metrics", http.StatusOK)
-	query := stats["query"].(map[string]any)
+	endpoints := getJSON(t, ts.URL+"/metrics", http.StatusOK)["endpoints"].(map[string]any)
+	query := endpoints["query"].(map[string]any)
 	if query["requests"].(float64) != 2 || query["errors"].(float64) != 1 {
 		t.Fatalf("query stats = %v", query)
 	}
-	health := stats["health"].(map[string]any)
+	health := endpoints["health"].(map[string]any)
 	if health["requests"].(float64) != 2 || health["errors"].(float64) != 1 {
 		t.Fatalf("health stats = %v", health)
 	}
@@ -404,7 +405,7 @@ func TestHandlerObservabilityEndpoints(t *testing.T) {
 	// /metrics JSON: endpoint stats now carry latency quantiles, and the
 	// per-method build block reports the synopsis constructions.
 	stats := getJSON(t, ts.URL+"/metrics", http.StatusOK)
-	query := stats["query"].(map[string]any)
+	query := stats["endpoints"].(map[string]any)["query"].(map[string]any)
 	for _, k := range []string{"p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"} {
 		if _, ok := query[k].(float64); !ok {
 			t.Fatalf("query stats missing %s: %v", k, query)
@@ -465,5 +466,60 @@ func TestHandlerObservabilityEndpoints(t *testing.T) {
 	}
 	if _, ok := trace["slow_ops"]; !ok {
 		t.Error("/trace missing slow_ops")
+	}
+}
+
+// TestHandlerMetricsKeepsIngestEndpoint pins the /metrics layout: the
+// endpoint stats live under "endpoints", so the maintenance block under
+// "ingest" no longer hides the /ingest endpoint's stats once a
+// maintained publish has run.
+func TestHandlerMetricsKeepsIngestEndpoint(t *testing.T) {
+	_, s := newIngestServer(t, 256, incrementalCfg())
+	ts := httptest.NewServer(NewHandler(s, NewMetrics()))
+	t.Cleanup(ts.Close)
+	postJSON(t, ts.URL+"/ingest", map[string]any{
+		"inserts": []map[string]any{{"value": 20, "count": 5}},
+	}, http.StatusOK)
+	postJSON(t, ts.URL+"/rebuild", nil, http.StatusOK)
+
+	stats := getJSON(t, ts.URL+"/metrics", http.StatusOK)
+	ep, ok := stats["endpoints"].(map[string]any)["ingest"].(map[string]any)
+	if !ok || ep["requests"].(float64) != 1 {
+		t.Fatalf("endpoints.ingest = %v", stats["endpoints"])
+	}
+	maint, ok := stats["ingest"].(map[string]any)
+	if !ok || maint["rebuilds_avoided"].(float64) == 0 {
+		t.Fatalf("maintenance block ingest = %v", stats["ingest"])
+	}
+}
+
+// TestHandlerRefusesInvalidMutations pins that /load and /ingest refuse a
+// body the engine cannot apply whole — a negative count after good ones,
+// a count past the record bound — with a 400 and no change to the data.
+func TestHandlerRefusesInvalidMutations(t *testing.T) {
+	_, _, ts := newTestHandler(t)
+	records := getJSON(t, ts.URL+"/health", http.StatusOK)["records"].(float64)
+
+	counts := make([]int64, 64)
+	counts[0], counts[40] = 5, -1
+	postJSON(t, ts.URL+"/load", map[string]any{"counts": counts}, http.StatusBadRequest)
+	counts[40] = math.MaxInt64
+	postJSON(t, ts.URL+"/load", map[string]any{"counts": counts}, http.StatusBadRequest)
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/ingest", map[string]any{
+			"inserts": []map[string]any{{"value": 3, "count": int64(math.MaxInt64)}},
+		}, http.StatusBadRequest)
+	}
+	// A valid write and a forced publish show exactly that one record on
+	// top of the old ones.
+	postJSON(t, ts.URL+"/ingest", map[string]any{
+		"inserts": []map[string]any{{"value": 3, "count": 1}},
+	}, http.StatusOK)
+	postJSON(t, ts.URL+"/rebuild", nil, http.StatusOK)
+	if got := getJSON(t, ts.URL+"/health", http.StatusOK)["records"].(float64); got != records+1 {
+		t.Fatalf("records %v after refused mutations and one insert, want %v", got, records+1)
+	}
+	if got := getJSON(t, ts.URL+"/query?a=0&b=63&maxerr=0", http.StatusOK)["value"].(float64); got != records+1 {
+		t.Fatalf("exact total %v after refused mutations and one insert, want %v", got, records+1)
 	}
 }

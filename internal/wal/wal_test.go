@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -586,5 +588,42 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 	}
 	if _, ok := parseCheckpointName(filepath.Base(segmentName(1))); ok {
 		t.Fatal("segment name parsed as checkpoint")
+	}
+}
+
+// TestRefusedMutationsAreNotLogged pins that a mutation the engine
+// refuses — a load with a bad entry after good ones, an insert past the
+// record bound — leaves both the live engine and the log untouched, so
+// the engine never holds a change the log never saw.
+func TestRefusedMutationsAreNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 4})
+	if err := db.Load([]int64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	eng := db.Engine()
+	counts, records, version := eng.Counts(), eng.Records(), eng.Version()
+	appends := db.Stats().Appends
+
+	if err := db.Load([]int64{5, 0, -1, 0}); err == nil {
+		t.Fatal("a load with a negative count was accepted")
+	}
+	var oe *engine.OverflowError
+	if err := db.Insert(3, math.MaxInt64); !errors.As(err, &oe) {
+		t.Fatalf("Insert(3, MaxInt64) = %v, want an OverflowError", err)
+	}
+	if got := eng.Counts(); !reflect.DeepEqual(got, counts) || eng.Records() != records || eng.Version() != version {
+		t.Fatalf("refused mutations changed the engine: counts %v records %d version %d", got, eng.Records(), eng.Version())
+	}
+	if got := db.Stats().Appends; got != appends {
+		t.Fatalf("refused mutations were logged: %d appends, want %d", got, appends)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := openT(t, dir, Options{})
+	defer db2.Close()
+	if got := db2.Engine().Counts(); !reflect.DeepEqual(got, counts) {
+		t.Fatalf("recovered counts %v, want %v", got, counts)
 	}
 }

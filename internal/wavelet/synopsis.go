@@ -138,36 +138,6 @@ func NewPrefixTopB(tab *prefix.Table, b int) (*PrefixSynopsis, error) {
 	return newPrefixFromCoeffs(n, len(padded), kept, "WAVE-PREFIX-TOPB"), nil
 }
 
-// NewPrefixFromCoefficients assembles a prefix-domain synopsis from an
-// explicit coefficient set (used by the dynamic maintainer in
-// internal/stream). The indices must lie in [0, pow) with pow a power of
-// two ≥ n+1.
-func NewPrefixFromCoefficients(n, pow int, kept []Coefficient, label string) *PrefixSynopsis {
-	if pow < n+1 || pow&(pow-1) != 0 {
-		panic(fmt.Sprintf("wavelet: invalid prefix transform length %d for n=%d", pow, n))
-	}
-	for _, c := range kept {
-		if c.Index < 0 || c.Index >= pow {
-			panic(fmt.Sprintf("wavelet: coefficient index %d outside transform of length %d", c.Index, pow))
-		}
-	}
-	return newPrefixFromCoeffs(n, pow, kept, label)
-}
-
-// NewDataFromCoefficients assembles a data-domain synopsis from an
-// explicit coefficient set (used by the dynamic maintainer).
-func NewDataFromCoefficients(n, pow int, kept []Coefficient, label string) *DataSynopsis {
-	if pow < n || pow&(pow-1) != 0 {
-		panic(fmt.Sprintf("wavelet: invalid transform length %d for n=%d", pow, n))
-	}
-	for _, c := range kept {
-		if c.Index < 0 || c.Index >= pow {
-			panic(fmt.Sprintf("wavelet: coefficient index %d outside transform of length %d", c.Index, pow))
-		}
-	}
-	return newDataFromCoeffs(n, pow, kept, label)
-}
-
 func newPrefixFromCoeffs(n, pow int, kept []Coefficient, label string) *PrefixSynopsis {
 	s := &PrefixSynopsis{n: n, pow: pow, coeffs: kept, label: label,
 		lookup: make(map[int]float64, len(kept))}

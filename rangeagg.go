@@ -223,8 +223,8 @@ func (m Method) String() string { return build.Method(m).String() }
 
 // Capabilities lists the method's registered capability flags (e.g.
 // "mergeable", "serializable"), empty for unknown methods. Callers can
-// discover what a method supports — shard merging, wire export, dynamic
-// maintenance — without hard-coding method lists.
+// discover what a method supports — shard merging, wire export, error
+// bounds — without hard-coding method lists.
 func (m Method) Capabilities() []string {
 	d, err := method.Lookup(build.Method(m))
 	if err != nil {
@@ -306,12 +306,12 @@ func Build(counts []int64, opt Options) (Synopsis, error) {
 		}
 	}
 	return build.Build(counts, build.Options{
-		Method:      im,
-		BudgetWords: opt.BudgetWords,
-		Reopt:       opt.Reopt,
-		LocalSearch: opt.LocalSearch,
-		Seed:        opt.Seed,
-		Epsilon:     opt.Epsilon,
+		Method:        im,
+		BudgetWords:   opt.BudgetWords,
+		Reopt:         opt.Reopt,
+		LocalSearch:   opt.LocalSearch,
+		Seed:          opt.Seed,
+		Epsilon:       opt.Epsilon,
 		RoundedX:      opt.RoundedX,
 		MaxStates:     opt.MaxStates,
 		CoarsenTo:     opt.CoarsenTo,
