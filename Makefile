@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzPlannerBudget -fuzztime 10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzIngestMaintain -fuzztime 10s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz FuzzBatchWire -fuzztime 10s ./internal/serve
 
 # The single source of truth for the floor-gated package list: CI's
 # coverage step runs `make cover` rather than repeating it.

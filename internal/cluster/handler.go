@@ -65,9 +65,9 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 	})
 
 	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		var body serve.BatchRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
+		body, status, err := serve.ReadBatchRequest(w, req)
+		if err != nil {
+			return status, err
 		}
 		if err := serve.CheckMaxErr(body.MaxErr); err != nil {
 			return http.StatusBadRequest, err

@@ -3,13 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -105,6 +106,65 @@ type BatchResult struct {
 	Values   []float64        `json:"values"`
 	Versions map[string]int64 `json:"versions"`
 	Windows  []WindowReport   `json:"windows"`
+}
+
+// AppendJSON implements serve.Appender: the bytes json.Marshal writes
+// for the result, without reflection.
+func (res BatchResult) AppendJSON(b []byte) ([]byte, bool) {
+	b, ok := serve.AppendArray(append(b, `{"errs":`...), res.Errs, serve.AppendBound)
+	if !ok {
+		return b, false
+	}
+	b = strconv.AppendBool(append(b, `,"partial":`...), res.Partial)
+	b, _ = serve.AppendArray(append(b, `,"served":`...), res.Served, func(b []byte, s bool) ([]byte, bool) {
+		return strconv.AppendBool(b, s), true
+	})
+	if b, ok = serve.AppendArray(append(b, `,"values":`...), res.Values, serve.AppendFloat); !ok {
+		return b, false
+	}
+	b = append(b, `,"versions":`...)
+	if res.Versions == nil {
+		b = append(b, "null"...)
+	} else {
+		ids := make([]string, 0, len(res.Versions))
+		for id := range res.Versions {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		b = append(b, '{')
+		for i, id := range ids {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(serve.AppendString(b, id), ':')
+			b = strconv.AppendInt(b, res.Versions[id], 10)
+		}
+		b = append(b, '}')
+	}
+	b, _ = serve.AppendArray(append(b, `,"windows":`...), res.Windows, appendWindowReport)
+	return append(b, '}'), true
+}
+
+// appendWindowReport appends w as json.Marshal writes it.
+func appendWindowReport(b []byte, w WindowReport) ([]byte, bool) {
+	b = strconv.AppendInt(append(b, `{"range":[`...), int64(w.Window.Lo), 10)
+	b = strconv.AppendInt(append(b, ','), int64(w.Window.Hi), 10)
+	b = serve.AppendString(append(b, `],"node":`...), w.Node)
+	if w.Endpoint != "" {
+		b = serve.AppendString(append(b, `,"endpoint":`...), w.Endpoint)
+	}
+	b = serve.AppendString(append(b, `,"status":`...), w.Status)
+	if w.Replica {
+		b = append(b, `,"replica":true`...)
+	}
+	b = strconv.AppendInt(append(b, `,"attempts":`...), int64(w.Attempts), 10)
+	if w.Path != "" {
+		b = serve.AppendString(append(b, `,"path":`...), w.Path)
+	}
+	if w.Err != "" {
+		b = serve.AppendString(append(b, `,"err":`...), w.Err)
+	}
+	return append(b, '}'), true
 }
 
 // Router fans queries out across a topology's segment owners and merges
@@ -215,7 +275,7 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 
 // permanent reports whether a failed attempt cannot succeed on another
 // endpoint: the node refused the request itself (a 4xx), or answered a
-// batch with the wrong number of values.
+// batch with the wrong number of values or errs.
 func permanent(err error) bool {
 	var se *serve.StatusError
 	var pe *permanentError
@@ -372,14 +432,18 @@ func (r *Router) queryEndpoint(ctx context.Context, endpoint string, q Query, w 
 	return body.Answer(), body.Version, nil
 }
 
+// maxAck bounds how much of an answer call reads and discards.
+const maxAck = 4096
+
 // call is the router's one request path to a node: a GET of path, or a
 // POST of body as JSON when body is non-nil. A non-200 answer is a
-// *serve.StatusError; a 200 answer is decoded into out when out is
-// non-nil.
+// *serve.StatusError; a 200 answer is decoded into out (a zero value)
+// when out is non-nil, and otherwise read to EOF, so net/http keeps the
+// keep-alive connection.
 func (r *Router) call(ctx context.Context, endpoint, path string, body, out any) error {
 	method, rd := http.MethodGet, io.Reader(nil)
 	if body != nil {
-		data, err := json.Marshal(body)
+		data, err := serve.MarshalJSON(body)
 		if err != nil {
 			return err
 		}
@@ -397,10 +461,16 @@ func (r *Router) call(ctx context.Context, endpoint, path string, body, out any)
 		return err
 	}
 	defer resp.Body.Close()
-	if err := serve.CheckResponse(resp); err != nil || out == nil {
+	if err := serve.CheckResponse(resp); err != nil {
 		return err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if out == nil {
+		// The write was applied; a failed read of its acknowledgement
+		// only costs the connection.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxAck))
+		return nil
+	}
+	if err := serve.ReadJSON(resp.Body, out); err != nil {
 		return fmt.Errorf("decoding answer from %s: %w", endpoint, err)
 	}
 	return nil
@@ -556,6 +626,9 @@ func (r *Router) batchEndpoint(ctx context.Context, endpoint, synopsis, metric s
 	}
 	if len(body.Values) != len(subRanges) {
 		return serve.BatchAnswer{}, &permanentError{msg: fmt.Sprintf("%s returned %d values for %d ranges", endpoint, len(body.Values), len(subRanges))}
+	}
+	if body.Errs != nil && len(body.Errs) != len(subRanges) {
+		return serve.BatchAnswer{}, &permanentError{msg: fmt.Sprintf("%s returned %d errs for %d ranges", endpoint, len(body.Errs), len(subRanges))}
 	}
 	if body.Errs == nil {
 		body.Errs = make([]*float64, len(subRanges))

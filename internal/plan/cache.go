@@ -98,8 +98,10 @@ func (c *Cache) shard(k Key) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// get returns the cached answer for k, marking it most recently used.
-func (c *Cache) get(k Key) (cached, bool) {
+// lookup returns the cached answer for k, marking it most recently
+// used. It does not count the hit or miss; the planner tallies them and
+// adds them with count.
+func (c *Cache) lookup(k Key) (cached, bool) {
 	if c == nil {
 		return cached{}, false
 	}
@@ -111,11 +113,18 @@ func (c *Cache) get(k Key) (cached, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
 		return cached{}, false
 	}
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).val, true
+}
+
+// count adds hits and misses to the cache's cumulative counters.
+func (c *Cache) count(hits, misses int64) {
+	if c == nil {
+		return
+	}
+	c.hits.Add(hits)
+	c.misses.Add(misses)
 }
 
 // put stores an answer for k, evicting the least recently used entry of

@@ -175,24 +175,64 @@ func (p *Planner) CacheStats() CacheStats { return p.cache.Stats() }
 // skip rule and the cache save.
 func (p *Planner) Probes() int64 { return p.nprobes.Load() }
 
+// Tally is one caller's planner work: answers per path, cache hits and
+// misses, and synopsis probes, counted without shared state. A batch
+// answers its ranges into a Tally and adds it to the planner's counters
+// once (Planner.Add) instead of once per answer.
+type Tally struct {
+	answers              [len(pathNames)]int64
+	hits, misses, probes int64
+}
+
 // Query answers [a,b] from v by the cheapest path whose bound is within
-// maxErr. pinned names the synopsis to start probing at ("" = the
-// view's cheapest); on a budget miss the planner escalates through the
-// finer sources and finally the exact fallback. maxErr semantics: NaN
-// means no budget (the pinned/cheapest synopsis always answers);
-// negative budgets clamp to 0 (only the exact path, or a synopsis with
-// a zero bound, can meet them).
+// maxErr, counts its work and times it per path
+// (rangeagg_plan_answer_seconds). pinned names the synopsis to start
+// probing at ("" = the view's cheapest); on a budget miss the planner
+// escalates through the finer sources and finally the exact fallback.
+// maxErr semantics: NaN means no budget (the pinned/cheapest synopsis
+// always answers); negative budgets clamp to 0 (only the exact path, or
+// a synopsis with a zero bound, can meet them).
 func (p *Planner) Query(v *View, pinned string, a, b int, maxErr float64) (Answer, error) {
 	start := time.Now()
-	ans, err := p.query(v, pinned, a, b, maxErr)
+	var t Tally
+	ans, err := p.Answer(v, pinned, a, b, maxErr, &t)
 	if err == nil {
-		p.answers[ans.Path].Inc()
 		p.latency[ans.Path].Since(start)
+	}
+	p.Add(&t)
+	return ans, err
+}
+
+// Answer answers like Query, but counts its work in t and is not timed:
+// the caller adds t with Add and times its batch as a whole.
+func (p *Planner) Answer(v *View, pinned string, a, b int, maxErr float64, t *Tally) (Answer, error) {
+	ans, err := p.query(v, pinned, a, b, maxErr, t)
+	if err == nil {
+		t.answers[ans.Path]++
 	}
 	return ans, err
 }
 
-func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64) (Answer, error) {
+// Add adds t to the planner's counters and clears it.
+func (p *Planner) Add(t *Tally) {
+	for i, n := range t.answers {
+		if n != 0 {
+			p.answers[i].Add(n)
+		}
+	}
+	if t.hits != 0 || t.misses != 0 {
+		p.hits.Add(t.hits)
+		p.misses.Add(t.misses)
+		p.cache.count(t.hits, t.misses)
+	}
+	if t.probes != 0 {
+		p.probes.Add(t.probes)
+		p.nprobes.Add(t.probes)
+	}
+	*t = Tally{}
+}
+
+func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64, t *Tally) (Answer, error) {
 	first := 0
 	if pinned != "" {
 		if first = v.SourceIndex(pinned); first < 0 {
@@ -217,13 +257,12 @@ func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64) (Answe
 			continue
 		}
 		key := Key{Metric: v.Metric, Source: src.Name, A: a, B: b, Version: v.Version}
-		val, hit := p.cache.get(key)
+		val, hit := p.cache.lookup(key)
 		if hit {
-			p.hits.Inc()
+			t.hits++
 		} else {
-			p.misses.Inc()
-			p.probes.Inc()
-			p.nprobes.Add(1)
+			t.misses++
+			t.probes++
 			val.value = src.Estimate(a, b)
 			val.bound, val.rigorous, ok = src.Bound(a, b)
 			if !ok {

@@ -169,6 +169,17 @@ func TestPlannerSourceWithoutModel(t *testing.T) {
 	}
 }
 
+// get is one counted lookup, the way the planner tallies it.
+func (c *Cache) get(k Key) (cached, bool) {
+	v, ok := c.lookup(k)
+	if ok {
+		c.count(1, 0)
+	} else {
+		c.count(0, 1)
+	}
+	return v, ok
+}
+
 func TestCacheVersioning(t *testing.T) {
 	c := NewCache(256)
 	k1 := Key{Metric: "count", Source: "s", A: 0, B: 9, Version: 1}

@@ -113,9 +113,9 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 	})
 
 	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
+		req, status, err := ReadBatchRequest(w, r)
+		if err != nil {
+			return status, err
 		}
 		metric, err := engine.ParseMetric(req.Metric)
 		if err != nil {

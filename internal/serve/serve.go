@@ -451,7 +451,7 @@ func (s *Server) Query(q Query) (float64, error) {
 // planned result (value, error bound, path) and the snapshot version.
 func (s *Server) QueryOne(q Query) (Result, int64) {
 	snap := s.snap.Load()
-	return s.answer(snap, q), snap.Version
+	return s.answer(snap, q, nil), snap.Version
 }
 
 // CacheStats reports the planner's hot-range cache hit/miss counters.
@@ -460,8 +460,10 @@ func (s *Server) CacheStats() plan.CacheStats { return s.planner.CacheStats() }
 // answer resolves one query against a pinned snapshot. Synopsis-less
 // queries without a budget take the exact fast path; everything else
 // goes through the planner, which attaches the error bound and caches
-// hot ranges under the snapshot's version.
-func (s *Server) answer(snap *Snapshot, q Query) Result {
+// hot ranges under the snapshot's version. A batch passes its chunk's
+// tally t; a single query passes nil and is counted and timed on its
+// own.
+func (s *Server) answer(snap *Snapshot, q Query, t *plan.Tally) Result {
 	if q.Synopsis == "" && q.MaxErr == nil {
 		return Result{Value: float64(snap.exact(q.Metric, q.A, q.B)),
 			Rigorous: true, Path: plan.PathExact, Source: "exact"}
@@ -481,7 +483,13 @@ func (s *Server) answer(snap *Snapshot, q Query) Result {
 	if q.MaxErr != nil {
 		maxErr = *q.MaxErr
 	}
-	ans, err := s.planner.Query(snap.View(metric), q.Synopsis, q.A, q.B, maxErr)
+	var ans plan.Answer
+	var err error
+	if t == nil {
+		ans, err = s.planner.Query(snap.View(metric), q.Synopsis, q.A, q.B, maxErr)
+	} else {
+		ans, err = s.planner.Answer(snap.View(metric), q.Synopsis, q.A, q.B, maxErr, t)
+	}
 	if err != nil {
 		return Result{Err: err}
 	}
@@ -492,7 +500,9 @@ func (s *Server) answer(snap *Snapshot, q Query) Result {
 // QueryBatch answers a batch of requests from one snapshot grab: every
 // answer in the batch reflects the same data version (returned alongside
 // the results), so concurrent rebuilds can never tear a batch. Large
-// batches fan out over the shared worker pool.
+// batches fan out over the shared worker pool. The batch is timed as a
+// whole (rangeagg_serve_query_batch_seconds), and each chunk adds its
+// planner work to the counters once.
 func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 	_, span := obs.Start(context.Background(), "serve.query_batch")
 	span.SetAttrInt("queries", int64(len(qs)))
@@ -501,9 +511,11 @@ func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 	snap := s.snap.Load()
 	out := make([]Result, len(qs))
 	answer := func(lo, hi int) {
+		var t plan.Tally
 		for i := lo; i < hi; i++ {
-			out[i] = s.answer(snap, qs[i])
+			out[i] = s.answer(snap, qs[i], &t)
 		}
+		s.planner.Add(&t)
 	}
 	if len(qs) >= s.cfg.FanOut {
 		parallel.ForEachChunk(len(qs), 64, answer)

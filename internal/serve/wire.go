@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rangeagg/internal/obs"
@@ -275,13 +278,23 @@ func (x *Mux) Handle(pattern, method string, fn Endpoint) {
 // ServeHTTP dispatches to the registered endpoints.
 func (x *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) { x.mux.ServeHTTP(w, r) }
 
-// WriteJSON writes v as a JSON body with the given status, through
-// json.Encoder (whose trailing newline is part of the wire bytes).
+// WriteJSON writes v as a JSON body with the given status: json.Encoder's
+// bytes (whose trailing newline is part of the wire bytes), appended into
+// a pooled buffer when v is an Appender.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors past the header write can only be I/O errors on a
+	// Write errors past the header write can only be I/O errors on a
 	// dead client; there is nothing useful to do with them.
+	if a, ok := v.(Appender); ok {
+		bp := getBuf()
+		defer putBuf(bp)
+		if *bp, ok = a.AppendJSON(*bp); ok {
+			*bp = append(*bp, '\n')
+			_, _ = w.Write(*bp)
+			return
+		}
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -289,4 +302,530 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 func Reply(w http.ResponseWriter, v any) (int, error) {
 	WriteJSON(w, http.StatusOK, v)
 	return 0, nil
+}
+
+// The batch codec. A /query/batch body carries one entry per range, so
+// encoding/json reflection used to cost more than the planner behind it.
+// BatchRequest and BatchAnswer are instead read whole into a pooled
+// buffer (ReadJSON) and scanned, and written by append encoders
+// (Appender) through WriteJSON and MarshalJSON; the router's batch
+// answer implements Appender with the helpers below. The scanner accepts
+// the canonical shape: keys spelled as the encoders spell them, each at
+// most once, ASCII strings without escapes, integers that fit, finite
+// floats, and null only for a whole slice or an errs entry. Any other
+// body goes to json.Decoder over the same bytes, so decoded values and
+// error texts stay encoding/json's. Likewise an encoder that meets NaN
+// or ±Inf hands the body to encoding/json, whose error is the reference
+// behaviour.
+
+// MaxBatchBody bounds a POST /query/batch request body, at a node and at
+// the router; a larger body is refused with 413.
+const MaxBatchBody = 4 << 20
+
+// maxPooled is the largest buffer returned to the codec's pool, so one
+// large body does not stay resident once its request is done.
+const maxPooled = 64 << 10
+
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// getBuf returns an empty pooled buffer.
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+// putBuf returns a buffer to the pool once every reader of it is done.
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooled {
+		*b = (*b)[:0]
+		bufPool.Put(b)
+	}
+}
+
+// An Appender is a body with a hand-written encoder. AppendJSON appends
+// the bytes json.Marshal writes for the body; ok is false when it cannot
+// (a NaN or infinite float), and the caller falls back to encoding/json.
+type Appender interface {
+	AppendJSON(b []byte) (out []byte, ok bool)
+}
+
+// MarshalJSON is json.Marshal, through the body's Appender when it has
+// one.
+func MarshalJSON(v any) ([]byte, error) {
+	if a, ok := v.(Appender); ok {
+		bp := getBuf()
+		defer putBuf(bp)
+		if *bp, ok = a.AppendJSON(*bp); ok {
+			return bytes.Clone(*bp), nil
+		}
+	}
+	return json.Marshal(v)
+}
+
+// ReadJSON reads r to EOF into a pooled buffer and decodes the bytes
+// into v, which must point to a zero value: a *BatchRequest or
+// *BatchAnswer in canonical shape through the scanner, anything else
+// through json.Decoder.
+func ReadJSON(r io.Reader, v any) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	var err error
+	if *bp, err = readAll(*bp, r); err != nil {
+		return err
+	}
+	data := *bp
+	switch v := v.(type) {
+	case *BatchRequest:
+		if req, ok := scanBatchRequest(data); ok {
+			*v = req
+			return nil
+		}
+	case *BatchAnswer:
+		if ans, ok := scanBatchAnswer(data); ok {
+			*v = ans
+			return nil
+		}
+	}
+	return json.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// readAll appends r's bytes to b until EOF.
+func readAll(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// ReadBatchRequest reads a POST /query/batch body of at most
+// MaxBatchBody bytes: 413 past the bound, 400 when it does not decode.
+func ReadBatchRequest(w http.ResponseWriter, r *http.Request) (BatchRequest, int, error) {
+	var req BatchRequest
+	if err := ReadJSON(http.MaxBytesReader(w, r.Body, MaxBatchBody), &req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return req, http.StatusRequestEntityTooLarge, fmt.Errorf("batch request body exceeds %d bytes", MaxBatchBody)
+		}
+		return req, http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
+	}
+	return req, 0, nil
+}
+
+// AppendJSON implements Appender.
+func (q BatchRequest) AppendJSON(b []byte) ([]byte, bool) {
+	b = append(b, '{')
+	if q.MaxErr != nil {
+		var ok bool
+		if b, ok = AppendFloat(append(b, `"maxerr":`...), *q.MaxErr); !ok {
+			return b, false
+		}
+		b = append(b, ',')
+	}
+	if q.Metric != "" {
+		b = append(AppendString(append(b, `"metric":`...), q.Metric), ',')
+	}
+	b, _ = AppendArray(append(b, `"ranges":`...), q.Ranges, func(b []byte, r [2]int) ([]byte, bool) {
+		b = strconv.AppendInt(append(b, '['), int64(r[0]), 10)
+		b = strconv.AppendInt(append(b, ','), int64(r[1]), 10)
+		return append(b, ']'), true
+	})
+	if q.Synopsis != "" {
+		b = AppendString(append(b, `,"synopsis":`...), q.Synopsis)
+	}
+	return append(b, '}'), true
+}
+
+// AppendJSON implements Appender.
+func (a BatchAnswer) AppendJSON(b []byte) ([]byte, bool) {
+	b, ok := AppendArray(append(b, `{"errs":`...), a.Errs, AppendBound)
+	if !ok {
+		return b, false
+	}
+	if b, ok = AppendArray(append(b, `,"values":`...), a.Values, AppendFloat); !ok {
+		return b, false
+	}
+	b = strconv.AppendInt(append(b, `,"version":`...), a.Version, 10)
+	return append(b, '}'), true
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from
+// 1e21. ok is false for NaN and ±Inf, which JSON cannot carry.
+func AppendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b, true
+}
+
+// AppendArray appends xs as encoding/json writes a slice: null when
+// nil, else each element by item between brackets. ok is false when an
+// element's is.
+func AppendArray[T any](b []byte, xs []T, item func([]byte, T) ([]byte, bool)) ([]byte, bool) {
+	if xs == nil {
+		return append(b, "null"...), true
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = item(b, x); !ok {
+			return b, false
+		}
+	}
+	return append(b, ']'), true
+}
+
+// AppendBound appends one errs entry: null for a nil bound.
+func AppendBound(b []byte, e *float64) ([]byte, bool) {
+	if e == nil {
+		return append(b, "null"...), true
+	}
+	return AppendFloat(b, *e)
+}
+
+// AppendString appends s as encoding/json writes a string. Printable
+// ASCII without quotes, backslashes or HTML metacharacters is copied;
+// any other string goes through encoding/json's escaper.
+func AppendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(append(b, '"'), s...)
+	return append(b, '"')
+}
+
+// scanBatchRequest decodes a canonical BatchRequest; ok is false for
+// any other body.
+func scanBatchRequest(data []byte) (req BatchRequest, ok bool) {
+	s := scanner{data: data}
+	ok = s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "maxerr":
+			var f float64
+			f, ok = s.float()
+			req.MaxErr = &f
+		case "metric":
+			req.Metric, ok = s.str()
+		case "ranges":
+			req.Ranges, ok = s.ranges()
+		case "synopsis":
+			req.Synopsis, ok = s.str()
+		}
+		return ok
+	})
+	return req, ok
+}
+
+// scanBatchAnswer decodes a canonical BatchAnswer; ok is false for any
+// other body.
+func scanBatchAnswer(data []byte) (ans BatchAnswer, ok bool) {
+	s := scanner{data: data}
+	ok = s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "errs":
+			ans.Errs, ok = s.bounds()
+		case "values":
+			ans.Values, ok = s.floats()
+		case "version":
+			ans.Version, ok = s.int()
+		}
+		return ok
+	})
+	return ans, ok
+}
+
+// scanner walks one body in canonical shape. Every method reports false
+// on anything outside that shape, and the caller falls back to
+// json.Decoder.
+type scanner struct {
+	data []byte
+	pos  int
+}
+
+// object scans {"key":value,...}, calling field to scan each value;
+// field reports false for an unknown key or a value out of shape. A
+// repeated key, or more keys than a batch body has, is not canonical.
+// What follows the closing brace is not read, as json.Decoder does not
+// read past the value.
+func (s *scanner) object(field func(key []byte) bool) bool {
+	if !s.next('{') {
+		return false
+	}
+	if s.next('}') {
+		return true
+	}
+	var seen [4][]byte
+	for n := 0; ; n++ {
+		key, ok := s.key()
+		if !ok || !s.next(':') || n == len(seen) {
+			return false
+		}
+		for _, k := range seen[:n] {
+			if bytes.Equal(k, key) {
+				return false
+			}
+		}
+		seen[n] = key
+		if !field(key) {
+			return false
+		}
+		if s.next('}') {
+			return true
+		}
+		if !s.next(',') {
+			return false
+		}
+	}
+}
+
+// skipSpace skips JSON whitespace.
+func (s *scanner) skipSpace() {
+	for s.pos < len(s.data) {
+		switch s.data[s.pos] {
+		case ' ', '\t', '\n', '\r':
+			s.pos++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c after any whitespace.
+func (s *scanner) next(c byte) bool {
+	s.skipSpace()
+	if s.pos < len(s.data) && s.data[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// null consumes a null literal after any whitespace.
+func (s *scanner) null() bool {
+	s.skipSpace()
+	if bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
+		s.pos += 4
+		return true
+	}
+	return false
+}
+
+// key scans a string of printable ASCII without escapes, returning its
+// bytes in place.
+func (s *scanner) key() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start := s.pos
+	for ; s.pos < len(s.data); s.pos++ {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			s.pos++
+			return s.data[start : s.pos-1], true
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// str scans a string as key does and copies it out of the body.
+func (s *scanner) str() (string, bool) {
+	b, ok := s.key()
+	return string(b), ok
+}
+
+// number scans a JSON number and returns its text; integer reports that
+// it has no fraction or exponent.
+func (s *scanner) number() (lit []byte, integer, ok bool) {
+	s.skipSpace()
+	start := s.pos
+	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+		s.pos++
+	}
+	if s.pos < len(s.data) && s.data[s.pos] == '0' {
+		s.pos++
+	} else if !s.digits() {
+		return nil, false, false
+	}
+	integer = true
+	if s.pos < len(s.data) && s.data[s.pos] == '.' {
+		s.pos++
+		if !s.digits() {
+			return nil, false, false
+		}
+		integer = false
+	}
+	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
+		s.pos++
+		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
+			s.pos++
+		}
+		if !s.digits() {
+			return nil, false, false
+		}
+		integer = false
+	}
+	return s.data[start:s.pos], integer, true
+}
+
+// digits consumes one or more decimal digits.
+func (s *scanner) digits() bool {
+	start := s.pos
+	for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
+		s.pos++
+	}
+	return s.pos > start
+}
+
+// int scans an integer that fits an int64.
+func (s *scanner) int() (int64, bool) {
+	lit, integer, ok := s.number()
+	if !ok || !integer {
+		return 0, false
+	}
+	digits := bytes.TrimPrefix(lit, []byte("-"))
+	if len(digits) > 18 { // may overflow
+		n, err := strconv.ParseInt(string(lit), 10, 64)
+		return n, err == nil
+	}
+	var n int64
+	for _, c := range digits {
+		n = n*10 + int64(c-'0')
+	}
+	if len(digits) < len(lit) {
+		n = -n
+	}
+	return n, true
+}
+
+// float scans a number that parses as a finite float64.
+func (s *scanner) float() (float64, bool) {
+	lit, _, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	return f, err == nil
+}
+
+// items estimates the length of the array about to be scanned by
+// counting sep up to the first occurrence of end: exact for a canonical
+// body, and only a capacity either way. It is capped, so a body that
+// will not scan cannot make a large allocation.
+func (s *scanner) items(sep byte, end string) int {
+	rest := s.data[s.pos:]
+	if i := bytes.Index(rest, []byte(end)); i >= 0 {
+		rest = rest[:i]
+	}
+	return min(bytes.Count(rest, []byte{sep})+1, 4096)
+}
+
+// array scans [item,...] or null, calling item for each element.
+// isNull reports null.
+func (s *scanner) array(item func() bool) (isNull, ok bool) {
+	if s.null() {
+		return true, true
+	}
+	if !s.next('[') {
+		return false, false
+	}
+	if s.next(']') {
+		return false, true
+	}
+	for {
+		if !item() {
+			return false, false
+		}
+		if s.next(']') {
+			return false, true
+		}
+		if !s.next(',') {
+			return false, false
+		}
+	}
+}
+
+// ranges scans [[a,b],...] with ints that fit the platform's int.
+func (s *scanner) ranges() ([][2]int, bool) {
+	out := make([][2]int, 0, s.items(']', "]]"))
+	isNull, ok := s.array(func() bool {
+		if !s.next('[') {
+			return false
+		}
+		a, ok := s.int()
+		if !ok || !s.next(',') {
+			return false
+		}
+		b, ok := s.int()
+		if !ok || !s.next(']') || int64(int(a)) != a || int64(int(b)) != b {
+			return false
+		}
+		out = append(out, [2]int{int(a), int(b)})
+		return true
+	})
+	if isNull {
+		return nil, ok
+	}
+	return out, ok
+}
+
+// floats scans [f,...] of finite floats.
+func (s *scanner) floats() ([]float64, bool) {
+	out := make([]float64, 0, s.items(',', "]"))
+	isNull, ok := s.array(func() bool {
+		f, ok := s.float()
+		out = append(out, f)
+		return ok
+	})
+	if isNull {
+		return nil, ok
+	}
+	return out, ok
+}
+
+// bounds scans an errs list: finite floats or null entries.
+func (s *scanner) bounds() ([]*float64, bool) {
+	// NaN marks a null entry while scanning: no JSON number parses to it.
+	vals := make([]float64, 0, s.items(',', "]"))
+	isNull, ok := s.array(func() bool {
+		if s.null() {
+			vals = append(vals, math.NaN())
+			return true
+		}
+		f, ok := s.float()
+		vals = append(vals, f)
+		return ok
+	})
+	if isNull || !ok {
+		return nil, ok
+	}
+	out := make([]*float64, len(vals))
+	for i := range vals {
+		if !math.IsNaN(vals[i]) {
+			out[i] = &vals[i]
+		}
+	}
+	return out, true
 }
