@@ -493,13 +493,11 @@ func BenchmarkServeHTTP(b *testing.B) {
 
 // plannerBench builds a serving stack for the error-budget planner: two
 // Count synopses — a coarse histogram probed first (cheapest by storage
-// words) and a finer one escalation reaches — plus a zipf-skewed
-// workload of 256 budget queries. Each query's budget is the fine
+// words) and a finer TOPBB wavelet escalation reaches — plus one budget
+// query drawn from a zipf-skewed pool of ranges. Its budget is the fine
 // synopsis's own bound on its range, so the fine synopsis exactly
-// satisfies it while the coarse one fails: every cache miss pays both
-// synopses' estimate+bound (the wavelet's is O(coefficients)), every
-// hit pays two cache probes.
-func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query) {
+// satisfies it while the coarse one fails.
+func plannerBench(b testing.TB) (*serve.Server, serve.Query) {
 	b.Helper()
 	const n = 2048
 	counts, err := ZipfCounts(n, 1.8, 1000, 1)
@@ -517,7 +515,7 @@ func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query)
 		{Name: "coarse", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 16}},
 		{Name: "fine", Metric: engine.Count, Options: build.Options{Method: build.WaveTopBB, BudgetWords: 256}},
 	}
-	srv, err := serve.New(eng, specs, serve.Config{CacheEntries: cacheEntries})
+	srv, err := serve.New(eng, specs, serve.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -538,51 +536,21 @@ func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query)
 	if fine < 0 {
 		b.Fatal("fine synopsis missing from view")
 	}
-	budgets := make([]float64, len(pool))
-	for j, r := range pool {
-		bound, _, ok := view.Sources[fine].Bound(r[0], r[1])
-		if !ok {
-			b.Fatalf("fine synopsis has no bound on [%d,%d]", r[0], r[1])
-		}
-		budgets[j] = bound
+	r := pool[zipf.Uint64()]
+	bound, _, ok := view.Sources[fine].Bound(r[0], r[1])
+	if !ok {
+		b.Fatalf("fine synopsis has no bound on [%d,%d]", r[0], r[1])
 	}
-	qs := make([]serve.Query, 256)
-	for i := range qs {
-		j := zipf.Uint64()
-		r := pool[j]
-		qs[i] = serve.Query{Metric: engine.Count, A: r[0], B: r[1], MaxErr: &budgets[j]}
-	}
-	return srv, qs
+	return srv, serve.Query{Metric: engine.Count, A: r[0], B: r[1], MaxErr: &bound}
 }
 
-// BenchmarkPlannerPaths measures the per-answer cost of each planner
-// path in isolation (cache-hit, uncached probe, escalation to the exact
-// tables) and then the headline workload the cache exists for: a
-// zipf-skewed batch of 256 budget queries with the hot-range cache on
-// versus off. The per-batch p99 is reported as p99-ns/batch; with the
-// skewed pool almost entirely resident after the first batch, cache-on
-// must beat cache-off by at least 2x.
+// BenchmarkPlannerPaths measures the per-answer cost of two planner
+// paths in isolation: a probe of the cheapest synopsis, and escalation
+// through both synopses (the coarse histogram and the TOPBB wavelet) to
+// the exact tables.
 func BenchmarkPlannerPaths(b *testing.B) {
-	b.Run("cache-hit", func(b *testing.B) {
-		srv, qs := plannerBench(b, 0)
-		if res, _ := srv.QueryOne(qs[0]); res.Err != nil { // warm the cache
-			b.Fatal(res.Err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, _ := srv.QueryOne(qs[0])
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			if res.Path != plan.PathCache {
-				b.Fatalf("path %s, want cache", res.Path)
-			}
-		}
-	})
 	b.Run("probe", func(b *testing.B) {
-		srv, qs := plannerBench(b, -1) // cache disabled: every op recomputes
-		q := qs[0]
+		srv, q := plannerBench(b)
 		q.MaxErr = nil
 		q.Synopsis = "coarse"
 		q.Metric = 0
@@ -599,8 +567,7 @@ func BenchmarkPlannerPaths(b *testing.B) {
 		}
 	})
 	b.Run("escalate-to-exact", func(b *testing.B) {
-		srv, qs := plannerBench(b, -1)
-		q := qs[0]
+		srv, q := plannerBench(b)
 		zero := 0.0
 		q.MaxErr = &zero // no synopsis meets a zero budget
 		b.ReportAllocs()
@@ -615,35 +582,6 @@ func BenchmarkPlannerPaths(b *testing.B) {
 			}
 		}
 	})
-	for _, bc := range []struct {
-		name    string
-		entries int
-	}{
-		{"zipf-batch-256/cache-on", 0},
-		{"zipf-batch-256/cache-off", -1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv, qs := plannerBench(b, bc.entries)
-			if results, _ := srv.QueryBatch(qs); results[0].Err != nil { // warm
-				b.Fatal(results[0].Err)
-			}
-			lat := make([]time.Duration, 0, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				results, _ := srv.QueryBatch(qs)
-				lat = append(lat, time.Since(start))
-				if results[0].Err != nil {
-					b.Fatal(results[0].Err)
-				}
-			}
-			b.StopTimer()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			p99 := lat[len(lat)*99/100]
-			b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/batch")
-		})
-	}
 }
 
 // BenchmarkSegmentedRebuild measures the tentpole claim of the segmented

@@ -3,6 +3,7 @@ package rangeagg
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rangeagg/internal/histogram"
@@ -122,5 +123,20 @@ func TestCodec2DNeverPanicsOnCorruption(t *testing.T) {
 			_ = s.Name()
 			_ = s.StorageWords()
 		}()
+	}
+}
+
+// TestReadSynopsisRejectsRepeatedWaveletIndex: a crafted wavelet file
+// that repeats a coefficient index is refused, for the data-domain and
+// the prefix-domain kinds. Accepted, it would answer through both
+// copies in a full coefficient sum but through one in the index lookup
+// that TOPBB and prefix-domain answers read.
+func TestReadSynopsisRejectsRepeatedWaveletIndex(t *testing.T) {
+	for _, kind := range []string{"data", "prefix"} {
+		c := `{"family":"wavelet","payload":{"kind":"` + kind + `","label":"x","n":5,"pow":8,` +
+			`"coeffs":[{"Index":0,"Value":4},{"Index":2,"Value":1},{"Index":2,"Value":1}]}}`
+		if _, err := ReadSynopsis(strings.NewReader(c)); err == nil {
+			t.Errorf("%s: accepted a repeated coefficient index", kind)
+		}
 	}
 }

@@ -108,3 +108,61 @@ func postRaw(t *testing.T, url, body string, wantStatus int) []byte {
 	}
 	return raw
 }
+
+// clusterRecords republishes every node behind the router and returns
+// the records their /health bodies report in total.
+func clusterRecords(t *testing.T, r *Router) float64 {
+	t.Helper()
+	var total float64
+	for _, n := range r.Topology().Nodes {
+		postRaw(t, n.Addr+"/rebuild", "", http.StatusOK)
+		total += getJSON(t, n.Addr+"/health", http.StatusOK)["records"].(float64)
+	}
+	return total
+}
+
+// The router bounds /ingest bodies at serve.MaxBatchBody: the largest
+// accepted body is forwarded and applied, one byte more is refused with
+// 413 before any node sees it.
+func TestRouterIngestBodyBound(t *testing.T) {
+	router, front := startRouterHandler(t, make([]int64, 64))
+	body := `{"inserts":[{"value":5,"count":3},{"value":60,"count":4}]}`
+	pad := strings.Repeat(" ", serve.MaxBatchBody-len(body))
+	postRaw(t, front.URL+"/ingest", body+pad, http.StatusOK)
+	if got := clusterRecords(t, router); got != 7 {
+		t.Fatalf("records %g after the largest accepted ingest, want 7", got)
+	}
+	raw := postRaw(t, front.URL+"/ingest", body+pad+" ", http.StatusRequestEntityTooLarge)
+	var e serve.ErrorBody
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body %q (%v)", raw, err)
+	}
+	if got := clusterRecords(t, router); got != 7 {
+		t.Fatalf("records %g after a refused ingest, want 7", got)
+	}
+}
+
+// The router bounds /load bodies by its topology domain
+// (serve.MaxLoadBody): the largest accepted body is split and applied,
+// one byte more is refused with 413.
+func TestRouterLoadBodyBound(t *testing.T) {
+	const n = 64
+	router, front := startRouterHandler(t, make([]int64, n))
+	load := func(count string, size int64) string {
+		body := `{"counts":[` + strings.Repeat(count+",", n-1) + count + `]}`
+		return body + strings.Repeat(" ", int(size)-len(body))
+	}
+	limit := serve.MaxLoadBody(n)
+	postRaw(t, front.URL+"/load", load("1", limit), http.StatusOK)
+	if got := clusterRecords(t, router); got != n {
+		t.Fatalf("records %g after the largest accepted load, want %d", got, n)
+	}
+	raw := postRaw(t, front.URL+"/load", load("2", limit+1), http.StatusRequestEntityTooLarge)
+	var e serve.ErrorBody
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body %q (%v)", raw, err)
+	}
+	if got := clusterRecords(t, router); got != n {
+		t.Fatalf("records %g after a refused load, want %d", got, n)
+	}
+}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -65,8 +64,8 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 	})
 
 	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		body, status, err := serve.ReadBatchRequest(w, req)
-		if err != nil {
+		var body serve.BatchRequest
+		if status, err := serve.ReadRequest(w, req, serve.MaxBatchBody, "batch", &body); err != nil {
 			return status, err
 		}
 		if err := serve.CheckMaxErr(body.MaxErr); err != nil {
@@ -81,8 +80,8 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 
 	x.Handle("/ingest", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
 		var body serve.IngestRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
+		if status, err := serve.ReadRequest(w, req, serve.MaxBatchBody, "ingest", &body); err != nil {
+			return status, err
 		}
 		applied, err := r.forwardIngest(req, body)
 		if err != nil {
@@ -93,8 +92,8 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 
 	x.Handle("/load", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
 		var body serve.LoadRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
+		if status, err := serve.ReadRequest(w, req, serve.MaxLoadBody(r.topo.Domain), "load", &body); err != nil {
+			return status, err
 		}
 		if len(body.Counts) != r.topo.Domain {
 			return http.StatusBadRequest, fmt.Errorf("load carries %d counts, topology domain is %d",

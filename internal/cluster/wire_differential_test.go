@@ -317,9 +317,9 @@ func newDiffCluster(t *testing.T, rng *rand.Rand, dead bool) *diffCluster {
 		if err := eng.Load(owned); err != nil {
 			t.Fatal(err)
 		}
-		// No cache and no automatic republish: the handler and its
-		// reference see the same snapshot and the same planner paths.
-		s, err := serve.New(eng, clusterSpecs(), serve.Config{Debounce: time.Hour, CacheEntries: -1})
+		// No automatic republish: the handler and its reference see the
+		// same snapshot and the same planner paths.
+		s, err := serve.New(eng, clusterSpecs(), serve.Config{Debounce: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

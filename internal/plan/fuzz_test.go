@@ -18,9 +18,9 @@ func FuzzPlannerBudget(f *testing.F) {
 	f.Add(50, 40, -2.5, true)
 	f.Add(0, 63, math.NaN(), false)
 
-	p := New(128)
+	p := New(0)
 	v := &View{
-		Version: 1, Metric: "count", Domain: 64,
+		Domain: 64,
 		Sources: []Source{
 			{
 				Name: "coarse", Words: 4,

@@ -55,7 +55,7 @@ func SplitBudget(maxErr float64, weights []int) []float64 {
 // answers yields the exact zero — the same convention Planner.Query uses
 // for a fully-clamped range.
 func MergeAnswers(parts ...Answer) Answer {
-	merged := Answer{Bound: 0, Rigorous: true, Path: PathCache, Source: "merged"}
+	merged := Answer{Bound: 0, Rigorous: true, Path: PathProbe, Source: "merged"}
 	if len(parts) == 0 {
 		return Answer{Value: 0, Bound: 0, Rigorous: true, Path: PathExact, Source: "merged"}
 	}

@@ -1,11 +1,11 @@
 // Package plan is the error-budget query planner: given a view of the
 // synopses built over one metric (plus an exact fallback) it answers
 // each range query by the cheapest path whose error bound meets the
-// caller's budget — hot-range cache, synopsis probe, escalation to a
-// finer synopsis, or the exact prefix table — and attaches the bound it
-// met to the answer. The per-range bounds come from the method layer's
-// error models (method.ErrorModel); the cache is snapshot-versioned so
-// a rebuild can never serve a stale answer.
+// caller's budget — synopsis probe, escalation to a finer synopsis, or
+// the exact prefix table — and attaches the bound it met to the answer.
+// The per-range bounds come from the method layer's error models
+// (method.ErrorModel). Every answer is computed afresh from the view it
+// was asked against, so none can outlive its snapshot.
 package plan
 
 import (
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"rangeagg/internal/obs"
@@ -23,7 +22,7 @@ import (
 type Path int
 
 const (
-	// PathCache: the answer came from the hot-range cache.
+	// PathCache is never produced; it stays only because perfbench indexes its per-path counts by Path.
 	PathCache Path = iota
 	// PathProbe: the first (pinned or cheapest) synopsis met the budget.
 	PathProbe
@@ -63,8 +62,7 @@ var ErrBudget = errors.New("plan: no path meets the error budget")
 // false when the synopsis carries no error model, in which case the
 // planner treats the bound as +Inf).
 type Source struct {
-	// Name is the synopsis name (the cache key component and the name
-	// reported in answers).
+	// Name is the synopsis name reported in answers.
 	Name string
 	// Words is the synopsis's storage footprint; the planner probes
 	// cheapest-first (the advisor's cost-sweep ordering).
@@ -84,11 +82,6 @@ type Source struct {
 // version: the synopses to probe (cheapest-first) and the exact
 // fallback.
 type View struct {
-	// Version is the snapshot version; it keys the cache so answers from
-	// older snapshots can never leak into newer ones.
-	Version int64
-	// Metric names what the view summarizes ("count", "sum").
-	Metric string
 	// Domain is the attribute-domain size; queries are clamped to it.
 	Domain int
 	// Sources are the probe candidates, cheapest-first (see OrderSources).
@@ -136,52 +129,38 @@ type Answer struct {
 }
 
 // Planner routes queries through the cheapest path meeting each one's
-// error budget, caching hot ranges. The zero Planner is not usable; use
-// New.
+// error budget. The zero Planner is not usable; use New.
 type Planner struct {
-	cache *Cache
-
-	// nprobes counts this planner's synopsis probes (estimate + bound
-	// evaluations); the obs counter aggregates across planners.
-	nprobes atomic.Int64
-
-	hits, misses *obs.Counter
-	probes       *obs.Counter
-	answers      [len(pathNames)]*obs.Counter
-	latency      [len(pathNames)]*obs.Histogram
+	probes  *obs.Counter
+	answers [len(pathNames)]*obs.Counter // nil at PathCache
+	latency [len(pathNames)]*obs.Histogram
 }
 
-// New builds a planner with a hot-range cache of about cacheEntries
-// answers; cacheEntries ≤ 0 disables caching.
-func New(cacheEntries int) *Planner {
-	p := &Planner{
-		cache:  NewCache(cacheEntries),
-		hits:   obs.Default.Counter("rangeagg_plan_cache_hits_total"),
-		misses: obs.Default.Counter("rangeagg_plan_cache_misses_total"),
-		probes: obs.Default.Counter("rangeagg_plan_probes_total"),
-	}
-	for i, name := range pathNames {
-		p.answers[i] = obs.Default.Counter("rangeagg_plan_answers_total", obs.L("path", name)...)
-		p.latency[i] = obs.Default.Histogram("rangeagg_plan_answer_seconds", obs.L("path", name)...)
+// New builds a planner; its argument is ignored and stays only because perfbench passes a cache size.
+func New(int) *Planner {
+	p := &Planner{probes: obs.Default.Counter("rangeagg_plan_probes_total")}
+	for i := PathProbe; i <= PathExact; i++ {
+		p.answers[i] = obs.Default.Counter("rangeagg_plan_answers_total", obs.L("path", i.String())...)
+		p.latency[i] = obs.Default.Histogram("rangeagg_plan_answer_seconds", obs.L("path", i.String())...)
 	}
 	return p
 }
 
-// CacheStats reports the planner cache's cumulative hit/miss counters.
-func (p *Planner) CacheStats() CacheStats { return p.cache.Stats() }
+// CacheStats is what Planner.CacheStats reports; it stays only because perfbench reads it.
+type CacheStats struct {
+	Hits, Misses int64
+}
 
-// Probes returns how many synopsis probes (estimate + bound
-// evaluations) this planner has performed — the work the model-less
-// skip rule and the cache save.
-func (p *Planner) Probes() int64 { return p.nprobes.Load() }
+// CacheStats reports zero; it stays only because perfbench reads it.
+func (p *Planner) CacheStats() CacheStats { return CacheStats{} }
 
-// Tally is one caller's planner work: answers per path, cache hits and
-// misses, and synopsis probes, counted without shared state. A batch
-// answers its ranges into a Tally and adds it to the planner's counters
-// once (Planner.Add) instead of once per answer.
+// Tally is one caller's planner work: answers per path and synopsis
+// probes, counted without shared state. A batch answers its ranges
+// into a Tally and adds it to the planner's counters once (Planner.Add)
+// instead of once per answer.
 type Tally struct {
-	answers              [len(pathNames)]int64
-	hits, misses, probes int64
+	answers [len(pathNames)]int64
+	probes  int64
 }
 
 // Query answers [a,b] from v by the cheapest path whose bound is within
@@ -220,14 +199,8 @@ func (p *Planner) Add(t *Tally) {
 			p.answers[i].Add(n)
 		}
 	}
-	if t.hits != 0 || t.misses != 0 {
-		p.hits.Add(t.hits)
-		p.misses.Add(t.misses)
-		p.cache.count(t.hits, t.misses)
-	}
 	if t.probes != 0 {
 		p.probes.Add(t.probes)
-		p.nprobes.Add(t.probes)
 	}
 	*t = Tally{}
 }
@@ -256,29 +229,17 @@ func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64, t *Tal
 			// Under no budget (NaN) or an infinite one it still answers.
 			continue
 		}
-		key := Key{Metric: v.Metric, Source: src.Name, A: a, B: b, Version: v.Version}
-		val, hit := p.cache.lookup(key)
-		if hit {
-			t.hits++
-		} else {
-			t.misses++
-			t.probes++
-			val.value = src.Estimate(a, b)
-			val.bound, val.rigorous, ok = src.Bound(a, b)
-			if !ok {
-				val.bound, val.rigorous = math.Inf(1), false
-			}
-			p.cache.put(key, val)
+		t.probes++
+		bound, rigorous, ok := src.Bound(a, b)
+		if !ok {
+			bound, rigorous = math.Inf(1), false
 		}
-		if noBudget || val.bound <= maxErr {
+		if noBudget || bound <= maxErr {
 			path := PathProbe
-			switch {
-			case hit:
-				path = PathCache
-			case i > first:
+			if i > first {
 				path = PathEscalate
 			}
-			return Answer{Value: val.value, Bound: val.bound, Rigorous: val.rigorous,
+			return Answer{Value: src.Estimate(a, b), Bound: bound, Rigorous: rigorous,
 				Path: path, Source: src.Name}, nil
 		}
 	}

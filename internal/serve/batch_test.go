@@ -16,11 +16,9 @@ import (
 // query both add to.
 func planCounts() map[string]int64 {
 	out := map[string]int64{
-		"hits":   obs.Default.Counter("rangeagg_plan_cache_hits_total").Value(),
-		"misses": obs.Default.Counter("rangeagg_plan_cache_misses_total").Value(),
 		"probes": obs.Default.Counter("rangeagg_plan_probes_total").Value(),
 	}
-	for _, p := range []plan.Path{plan.PathCache, plan.PathProbe, plan.PathEscalate, plan.PathExact} {
+	for _, p := range []plan.Path{plan.PathProbe, plan.PathEscalate, plan.PathExact} {
 		labels := obs.L("path", p.String())
 		out["answers."+p.String()] = obs.Default.Counter("rangeagg_plan_answers_total", labels...).Value()
 		out["timed."+p.String()] = obs.Default.Histogram("rangeagg_plan_answer_seconds", labels...).Count()
@@ -38,12 +36,9 @@ func countsSince(before map[string]int64) map[string]int64 {
 
 // TestBatchTallyMatchesSingles pins the batch bookkeeping: on two
 // identical servers, one QueryBatch adds exactly the per-path answer
-// counts, cache hits and misses, and probes that the same queries add
-// through QueryOne, to the process-wide series and to each planner's
-// own counters. Only the single queries are timed per answer. The
-// batch is large enough to fan out over the pool, and its ranges are
-// distinct, so the cache counts do not depend on the order the chunks
-// run in; the second pass answers from the cache.
+// counts and probes that the same queries add through QueryOne to the
+// process-wide series. Only the single queries are timed per answer.
+// The batch is large enough to fan out over the pool.
 func TestBatchTallyMatchesSingles(t *testing.T) {
 	const n = 256
 	rng := rand.New(rand.NewSource(7))
@@ -99,56 +94,40 @@ func TestBatchTallyMatchesSingles(t *testing.T) {
 	}
 	qs = append(qs, Query{Synopsis: "nope", A: 1, B: 2}, Query{A: n + 5, B: n + 9, MaxErr: new(float64)})
 
-	for pass := 0; pass < 2; pass++ {
-		before := planCounts()
-		results, _ := batch.QueryBatch(qs)
-		fromBatch := countsSince(before)
-		before = planCounts()
-		for i, q := range qs {
-			res, _ := single.QueryOne(q)
-			if res.Value != results[i].Value || res.Path != results[i].Path || (res.Err == nil) != (results[i].Err == nil) {
-				t.Fatalf("pass %d, %+v: batch answered %+v, single %+v", pass, q, results[i], res)
-			}
+	before := planCounts()
+	results, _ := batch.QueryBatch(qs)
+	fromBatch := countsSince(before)
+	before = planCounts()
+	for i, q := range qs {
+		res, _ := single.QueryOne(q)
+		if res.Value != results[i].Value || res.Path != results[i].Path || (res.Err == nil) != (results[i].Err == nil) {
+			t.Fatalf("%+v: batch answered %+v, single %+v", q, results[i], res)
 		}
-		fromSingles := countsSince(before)
+	}
+	fromSingles := countsSince(before)
 
-		answered := int64(0)
-		for _, p := range []plan.Path{plan.PathCache, plan.PathProbe, plan.PathEscalate, plan.PathExact} {
-			key := p.String()
-			answered += fromSingles["answers."+key]
-			if fromBatch["timed."+key] != 0 {
-				t.Errorf("pass %d: the batch timed %d %s answers one by one", pass, fromBatch["timed."+key], key)
-			}
-			if fromSingles["timed."+key] != fromSingles["answers."+key] {
-				t.Errorf("pass %d: %d single %s answers, %d timed", pass, fromSingles["answers."+key], key, fromSingles["timed."+key])
-			}
-			delete(fromBatch, "timed."+key)
-			delete(fromSingles, "timed."+key)
+	for _, p := range []plan.Path{plan.PathProbe, plan.PathEscalate, plan.PathExact} {
+		key := p.String()
+		if fromBatch["timed."+key] != 0 {
+			t.Errorf("the batch timed %d %s answers one by one", fromBatch["timed."+key], key)
 		}
-		for k, want := range fromSingles {
-			if fromBatch[k] != want {
-				t.Errorf("pass %d: %s: batch added %d, single queries %d", pass, k, fromBatch[k], want)
-			}
-		}
-		if bs, ss := batch.CacheStats(), single.CacheStats(); bs != ss {
-			t.Errorf("pass %d: cache stats: batch %+v, single %+v", pass, bs, ss)
-		}
-		if bp, sp := batch.planner.Probes(), single.planner.Probes(); bp != sp {
-			t.Errorf("pass %d: probes: batch %d, single %d", pass, bp, sp)
+		if fromSingles["timed."+key] != fromSingles["answers."+key] {
+			t.Errorf("%d single %s answers, %d timed", fromSingles["answers."+key], key, fromSingles["timed."+key])
 		}
 		// The queries must reach every path, or the comparison proves little.
-		paths := []string{"probe", "escalate", "exact"}
-		if pass == 1 {
-			paths = []string{"cache"}
+		if fromSingles["answers."+key] == 0 {
+			t.Errorf("no query took the %s path (%v)", key, fromSingles)
 		}
-		for _, p := range paths {
-			if fromSingles["answers."+p] == 0 {
-				t.Errorf("pass %d: no query took the %s path (%v)", pass, p, fromSingles)
-			}
+		delete(fromBatch, "timed."+key)
+		delete(fromSingles, "timed."+key)
+	}
+	for k, want := range fromSingles {
+		if fromBatch[k] != want {
+			t.Errorf("%s: batch added %d, single queries %d", k, fromBatch[k], want)
 		}
-		if answered == 0 || fromSingles["probes"] == 0 && pass == 0 {
-			t.Fatalf("pass %d: nothing counted: %v", pass, fromSingles)
-		}
+	}
+	if fromSingles["probes"] == 0 {
+		t.Fatalf("nothing probed: %v", fromSingles)
 	}
 }
 
@@ -164,5 +143,62 @@ func TestHandlerBatchBodyBound(t *testing.T) {
 	var e ErrorBody
 	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
 		t.Fatalf("413 body %q (%v)", raw, err)
+	}
+}
+
+// healthRecords republishes the node and returns the records its
+// /health reports.
+func healthRecords(t *testing.T, url string) float64 {
+	t.Helper()
+	postJSONRaw(t, url+"/rebuild", "", 200)
+	return getJSON(t, url+"/health", 200)["records"].(float64)
+}
+
+// TestHandlerIngestBodyBound pins the /ingest body bound: a body of
+// MaxBatchBody bytes is served, one byte more is refused with 413 and
+// an ErrorBody, and the refused inserts are not applied.
+func TestHandlerIngestBodyBound(t *testing.T) {
+	_, _, ts := newTestHandler(t)
+	before := healthRecords(t, ts.URL)
+	body := `{"inserts":[{"value":3,"count":5}]}`
+	pad := strings.Repeat(" ", MaxBatchBody-len(body))
+	postJSONRaw(t, ts.URL+"/ingest", body+pad, 200)
+	if got := healthRecords(t, ts.URL); got != before+5 {
+		t.Fatalf("records %g after the largest accepted ingest, want %g", got, before+5)
+	}
+	raw := postJSONRaw(t, ts.URL+"/ingest", body+pad+" ", 413)
+	var e ErrorBody
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body %q (%v)", raw, err)
+	}
+	if got := healthRecords(t, ts.URL); got != before+5 {
+		t.Fatalf("records %g after a refused ingest, want %g", got, before+5)
+	}
+}
+
+// TestHandlerLoadBodyBound pins the /load body bound the node derives
+// from its domain: a body of MaxLoadBody(domain) bytes is served, one
+// byte more is refused with 413 and an ErrorBody, and the refused
+// counts are not loaded.
+func TestHandlerLoadBodyBound(t *testing.T) {
+	s, _, ts := newTestHandler(t)
+	n := s.Snapshot().Domain
+	load := func(count string, size int64) string {
+		body := `{"counts":[` + strings.Repeat(count+",", n-1) + count + `]}`
+		return body + strings.Repeat(" ", int(size)-len(body))
+	}
+	limit := MaxLoadBody(n)
+	want := healthRecords(t, ts.URL) + float64(n) // a load adds its counts
+	postJSONRaw(t, ts.URL+"/load", load("1", limit), 200)
+	if got := healthRecords(t, ts.URL); got != want {
+		t.Fatalf("records %g after the largest accepted load, want %g", got, want)
+	}
+	raw := postJSONRaw(t, ts.URL+"/load", load("2", limit+1), 413)
+	var e ErrorBody
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body %q (%v)", raw, err)
+	}
+	if got := healthRecords(t, ts.URL); got != want {
+		t.Fatalf("records %g after a refused load, want %g", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -113,8 +112,8 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 	})
 
 	x.Handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		req, status, err := ReadBatchRequest(w, r)
-		if err != nil {
+		var req BatchRequest
+		if status, err := ReadRequest(w, r, MaxBatchBody, "batch", &req); err != nil {
 			return status, err
 		}
 		metric, err := engine.ParseMetric(req.Metric)
@@ -146,8 +145,8 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 
 	x.Handle("/ingest", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		var req IngestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
+		if status, err := ReadRequest(w, r, MaxBatchBody, "ingest", &req); err != nil {
+			return status, err
 		}
 		for _, in := range req.Inserts {
 			if err := s.Insert(in.Value, in.Count); err != nil {
@@ -164,8 +163,8 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 
 	x.Handle("/load", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
 		var req LoadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
+		if status, err := ReadRequest(w, r, MaxLoadBody(s.eng.Domain()), "load", &req); err != nil {
+			return status, err
 		}
 		if err := s.Load(req.Counts); err != nil {
 			return http.StatusBadRequest, err

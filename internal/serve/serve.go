@@ -50,9 +50,6 @@ type Config struct {
 	// FanOut is the smallest batch QueryBatch spreads over the worker
 	// pool; smaller batches evaluate inline (default 128).
 	FanOut int
-	// CacheEntries sizes the planner's hot-range answer cache (default
-	// 4096 entries); a negative value disables caching.
-	CacheEntries int
 	// WAL, when non-nil, makes the server durable: the engine must be
 	// the DB's engine, every mutation path (ingest, load, shard merge)
 	// appends its log record before the call acknowledges, and a
@@ -86,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.FanOut <= 0 {
 		c.FanOut = 128
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
-	}
 	return c
 }
 
@@ -99,7 +93,7 @@ type Server struct {
 	cfg Config
 
 	// planner routes budgeted and synopsis queries through the cheapest
-	// path meeting each one's error bound, caching hot ranges.
+	// path meeting each one's error bound.
 	planner *plan.Planner
 
 	snap atomic.Pointer[Snapshot]
@@ -186,11 +180,7 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	cacheEntries := s.cfg.CacheEntries
-	if cacheEntries < 0 {
-		cacheEntries = 0 // plan.New(≤0) disables the cache
-	}
-	s.planner = plan.New(cacheEntries)
+	s.planner = plan.New(0)
 	for _, sh := range cfg.RecoveredShards {
 		for _, sp := range s.specs {
 			if sp.Name == sh.Name {
@@ -454,15 +444,11 @@ func (s *Server) QueryOne(q Query) (Result, int64) {
 	return s.answer(snap, q, nil), snap.Version
 }
 
-// CacheStats reports the planner's hot-range cache hit/miss counters.
-func (s *Server) CacheStats() plan.CacheStats { return s.planner.CacheStats() }
-
 // answer resolves one query against a pinned snapshot. Synopsis-less
 // queries without a budget take the exact fast path; everything else
-// goes through the planner, which attaches the error bound and caches
-// hot ranges under the snapshot's version. A batch passes its chunk's
-// tally t; a single query passes nil and is counted and timed on its
-// own.
+// goes through the planner, which attaches the error bound. A batch
+// passes its chunk's tally t; a single query passes nil and is counted
+// and timed on its own.
 func (s *Server) answer(snap *Snapshot, q Query, t *plan.Tally) Result {
 	if q.Synopsis == "" && q.MaxErr == nil {
 		return Result{Value: float64(snap.exact(q.Metric, q.A, q.B)),

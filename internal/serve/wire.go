@@ -318,9 +318,14 @@ func Reply(w http.ResponseWriter, v any) (int, error) {
 // or ±Inf hands the body to encoding/json, whose error is the reference
 // behaviour.
 
-// MaxBatchBody bounds a POST /query/batch request body, at a node and at
-// the router; a larger body is refused with 413.
+// MaxBatchBody bounds a POST /query/batch or /ingest request body, at a
+// node and at the router; a larger body is refused with 413.
 const MaxBatchBody = 4 << 20
+
+// MaxLoadBody bounds a POST /load request body over a domain of n
+// values: 32 bytes per count, enough for any count up to 2^53 with its
+// separator and whitespace, plus 4 KiB for the rest.
+func MaxLoadBody(n int) int64 { return 32*int64(n) + 4<<10 }
 
 // maxPooled is the largest buffer returned to the codec's pool, so one
 // large body does not stay resident once its request is done.
@@ -403,18 +408,18 @@ func readAll(b []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// ReadBatchRequest reads a POST /query/batch body of at most
-// MaxBatchBody bytes: 413 past the bound, 400 when it does not decode.
-func ReadBatchRequest(w http.ResponseWriter, r *http.Request) (BatchRequest, int, error) {
-	var req BatchRequest
-	if err := ReadJSON(http.MaxBytesReader(w, r.Body, MaxBatchBody), &req); err != nil {
+// ReadRequest reads a request body of at most limit bytes into v (see
+// ReadJSON), naming it what in errors: 413 past the bound, 400 when it
+// does not decode.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) (int, error) {
+	if err := ReadJSON(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return req, http.StatusRequestEntityTooLarge, fmt.Errorf("batch request body exceeds %d bytes", MaxBatchBody)
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("%s request body exceeds %d bytes", what, limit)
 		}
-		return req, http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
+		return http.StatusBadRequest, fmt.Errorf("decoding %s request: %w", what, err)
 	}
-	return req, 0, nil
+	return 0, nil
 }
 
 // AppendJSON implements Appender.

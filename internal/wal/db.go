@@ -265,8 +265,10 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 		}
 		end := base + uint64(len(payloads)) // one past the last valid index
 		switch {
-		case !ok:
-			// Unreadable header: nothing in this file is trustworthy.
+		case !ok || base != s.base:
+			// Unreadable header, or a header base its file name does not
+			// carry (the base has no checksum): nothing in this file is
+			// trustworthy.
 			stopped = true
 			rec.Torn = true
 			if err := os.Remove(s.path); err != nil {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -319,6 +320,66 @@ func TestBitFlipStopsReplayAtCorruptRecord(t *testing.T) {
 	}
 	if !reflect.DeepEqual(db2.Engine().Counts(), want) {
 		t.Fatalf("recovered counts %v are not the %d-record prefix", db2.Engine().Counts(), rec.Replayed)
+	}
+}
+
+// A segment header's base index carries no checksum. A header whose
+// base disagrees with the segment's file name is as untrustworthy as an
+// unreadable one: recovery stops before that segment, reports the log
+// torn, and removes it and every later segment, so a second open is
+// clean. Flipping bit 0 of an odd base makes the header claim one
+// record the previous segment holds: replay used to skip the segment's
+// first record as already applied and replay the rest one index early.
+func TestSegmentBaseMismatchStopsReplay(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 32, SegmentBytes: 128})
+	goldens := [][]int64{db.Engine().Counts()}
+	for i := 0; i < 24; i++ {
+		if err := db.Insert(i, 1); err != nil {
+			t.Fatal(err)
+		}
+		goldens = append(goldens, db.Engine().Counts())
+	}
+	closeT(t, db)
+
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("segments = %v, %v; want several", segs, err)
+	}
+	var mid segmentInfo
+	for _, sg := range segs[1 : len(segs)-1] {
+		if sg.base%2 == 1 {
+			mid = sg
+			break
+		}
+	}
+	if mid.path == "" {
+		t.Fatalf("no middle segment with an odd base in %v", segs)
+	}
+	buf, err := os.ReadFile(mid.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := buf[len(segMagic):segHdrLen]
+	binary.LittleEndian.PutUint64(hdr, binary.LittleEndian.Uint64(hdr)^1)
+	if err := os.WriteFile(mid.path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := goldens[mid.base-1]
+	db2, rec := openT(t, dir, Options{})
+	if !rec.Torn || rec.Replayed != int64(mid.base-1) {
+		t.Fatalf("recovery = %+v, want torn after the %d records before segment %d", rec, mid.base-1, mid.base)
+	}
+	if got := db2.Engine().Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered counts %v, want the state before segment %d: %v", got, mid.base, want)
+	}
+	closeT(t, db2)
+
+	db3, rec3 := openT(t, dir, Options{})
+	defer closeT(t, db3)
+	if rec3.Torn || !reflect.DeepEqual(db3.Engine().Counts(), want) {
+		t.Fatalf("second open: recovery %+v, counts %v", rec3, db3.Engine().Counts())
 	}
 }
 

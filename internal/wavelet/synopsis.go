@@ -65,17 +65,12 @@ func (s *DataSynopsis) StorageWords() int { return 2 * len(s.coeffs) }
 // Coefficients returns the retained coefficients (sorted by index).
 func (s *DataSynopsis) Coefficients() []Coefficient { return s.coeffs }
 
-// Estimate answers the range query [a,b] in O(B) by summing per-basis
-// range inner products.
+// Estimate answers the range query [a,b] in O(log N) (see rangeSum).
 func (s *DataSynopsis) Estimate(a, b int) float64 {
 	if a < 0 || b >= s.n || a > b {
 		panic(fmt.Sprintf("wavelet: invalid range [%d,%d] for n=%d", a, b, s.n))
 	}
-	var sum float64
-	for _, c := range s.coeffs {
-		sum += c.Value * BasisRangeSum(s.pow, c.Index, a, b)
-	}
-	return sum
+	return s.rangeSum(a, b)
 }
 
 // CumEstimate returns the cumulative estimate Ĉ[t] (the reconstruction
@@ -85,9 +80,34 @@ func (s *DataSynopsis) CumEstimate(t int) float64 {
 	if t <= 0 {
 		return 0
 	}
+	// Every support ends before pow, so a longer prefix sums the same.
+	return s.rangeSum(0, min(t-1, s.pow-1))
+}
+
+// rangeSum returns Σ_{i∈[a,b]} of the reconstruction, 0 ≤ a ≤ b < pow.
+// A non-DC Haar vector whose support lies wholly inside or wholly
+// outside [a,b] sums to exactly zero over it, so only the DC and, per
+// level, the kept coefficients whose supports contain a or b
+// contribute. They are added coarsest level first, a's before b's, which
+// is ascending index order: the sum is bit-identical to the O(B) sum of
+// c·BasisRangeSum over every kept coefficient in index order, whose
+// other terms are all ±0.
+func (s *DataSynopsis) rangeSum(a, b int) float64 {
 	var sum float64
-	for _, c := range s.coeffs {
-		sum += c.Value * BasisRangeSum(s.pow, c.Index, 0, t-1)
+	if v, ok := s.lookup[0]; ok {
+		sum += v * BasisRangeSum(s.pow, 0, a, b)
+	}
+	for length := s.pow; length > 1; length /= 2 {
+		ka, kb := s.pow/length+a/length, s.pow/length+b/length
+		if v, ok := s.lookup[ka]; ok {
+			sum += v * BasisRangeSum(s.pow, ka, a, b)
+		}
+		if kb == ka {
+			continue
+		}
+		if v, ok := s.lookup[kb]; ok {
+			sum += v * BasisRangeSum(s.pow, kb, a, b)
+		}
 	}
 	return sum
 }
@@ -236,6 +256,13 @@ func ReadJSON(r io.Reader) (any, error) {
 		}
 	}
 	sort.Slice(enc.Coeffs, func(i, j int) bool { return enc.Coeffs[i].Index < enc.Coeffs[j].Index })
+	for i := 1; i < len(enc.Coeffs); i++ {
+		// Answers read each index once from the lookup map; a repeat
+		// would also count twice in the storage words.
+		if enc.Coeffs[i].Index == enc.Coeffs[i-1].Index {
+			return nil, fmt.Errorf("wavelet: coefficient index %d repeated", enc.Coeffs[i].Index)
+		}
+	}
 	switch enc.Kind {
 	case "aa2d":
 		for _, c := range enc.Pairs {
