@@ -12,7 +12,7 @@ race:
 	$(GO) test -race -count=1 ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'ConstructScaling|ServeHTTP|SegmentedRebuild|RouterFanout|IngestSustained' -benchtime 100ms .
+	$(GO) test -run '^$$' -bench 'ConstructScaling|ServeHTTP|PlannerPaths|SegmentedRebuild|RouterFanout|IngestSustained' -benchtime 100ms .
 
 # Gate the benchmarks against the committed baseline (fails on >15%
 # median regression; see scripts/benchdiff).

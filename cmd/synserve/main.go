@@ -20,11 +20,11 @@
 // /healthz and stay unready until their first successful install; the
 // cluster router (cmd/synrouter) fails reads over to them.
 //
-// Endpoints: /health /query /query/batch /ingest /load /rebuild /synopsis
-// /metrics /metrics.prom /trace (see internal/serve.NewHandler), plus
-// /debug/pprof/ with -pprof. Spans slower than -slow-op are logged to
-// stderr. SIGINT/SIGTERM drain in-flight requests, then write a final
-// checkpoint, before exiting.
+// Endpoints: /health /healthz /checkpoint /query /query/batch /ingest
+// /load /rebuild /synopsis /metrics /metrics.prom /trace (see
+// internal/serve.NewHandler), plus /debug/pprof/ with -pprof. Spans
+// slower than -slow-op are logged to stderr. SIGINT/SIGTERM drain
+// in-flight requests, then write a final checkpoint, before exiting.
 package main
 
 import (
@@ -108,15 +108,13 @@ func main() {
 	var eng *engine.Engine
 	var db *wal.DB
 	if *dataDir != "" {
-		var rec *wal.Recovery
-		db, rec, err = openDurable(*dataDir, *dataPath, *domain, *fsyncMode, *ckptEvery)
+		db, err = openDurable(*dataDir, *dataPath, *domain, *fsyncMode, *ckptEvery)
 		if err != nil {
 			fatal(err)
 		}
 		defer db.Close()
 		eng = db.Engine()
 		cfg.WAL = db
-		cfg.RecoveredShards = rec.Shards
 	} else if eng, err = newEngine(*dataPath, *domain); err != nil {
 		fatal(err)
 	}
@@ -192,21 +190,21 @@ func main() {
 // openDurable opens (or initializes) the write-ahead-logged engine in
 // dataDir. A CSV preload seeds a fresh directory only; on recovery the
 // directory is authoritative and -data is ignored.
-func openDurable(dataDir, dataPath string, domain int, fsyncMode string, ckptEvery int64) (*wal.DB, *wal.Recovery, error) {
+func openDurable(dataDir, dataPath string, domain int, fsyncMode string, ckptEvery int64) (*wal.DB, error) {
 	policy, err := wal.ParseFsyncPolicy(fsyncMode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var counts []int64
 	if dataPath != "" {
 		f, err := os.Open(dataPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		d, err := dataset.ReadCSV(f)
 		f.Close()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		counts = d.Counts
 		domain = d.N()
@@ -218,13 +216,13 @@ func openDurable(dataDir, dataPath string, domain int, fsyncMode string, ckptEve
 		CheckpointEvery: ckptEvery,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if rec.Fresh {
 		if counts != nil {
 			if err := db.Load(counts); err != nil {
 				db.Close()
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		fmt.Fprintf(os.Stderr, "synserve: initialized data dir %s (domain %d)\n",
@@ -236,7 +234,7 @@ func openDurable(dataDir, dataPath string, domain int, fsyncMode string, ckptEve
 		fmt.Fprintf(os.Stderr, "synserve: recovered data dir %s (checkpoint %d, replayed %d records, torn=%v)\n",
 			dataDir, rec.Checkpoint, rec.Replayed, rec.Torn)
 	}
-	return db, rec, nil
+	return db, nil
 }
 
 // newEngine builds the column either from a CSV distribution or empty over

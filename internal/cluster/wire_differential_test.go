@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"rangeagg/internal/build"
-	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
 	"rangeagg/internal/serve"
 )
@@ -276,8 +275,8 @@ func wantSame(t *testing.T, what string, gotStatus int, got []byte, wantStatus i
 }
 
 // diffCluster is the differential's fixture: three window owners, each
-// behind a recorder; node 0's "h" has a merged shard, so it answers
-// without an error model (unbounded) when no budget forces a fallback;
+// behind a recorder; node 0's "h" is WAVE-AA2D, which has no error
+// model, so it answers unbounded when no budget forces a fallback;
 // node 1 holds no records (exact zeros).
 type diffCluster struct {
 	counts  []int64
@@ -317,20 +316,15 @@ func newDiffCluster(t *testing.T, rng *rand.Rand, dead bool) *diffCluster {
 		if err := eng.Load(owned); err != nil {
 			t.Fatal(err)
 		}
+		specs := clusterSpecs()
+		if i == 0 {
+			specs[0].Options = build.Options{Method: build.WaveAA2D, BudgetWords: 16}
+		}
 		// No automatic republish: the handler and its reference see the
 		// same snapshot and the same planner paths.
-		s, err := serve.New(eng, clusterSpecs(), serve.Config{Debounce: time.Hour})
+		s, err := serve.New(eng, specs, serve.Config{Debounce: time.Hour})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if i == 0 {
-			shard, err := build.Build(owned, build.Options{Method: build.EquiWidth, BudgetWords: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.MergeSynopsis("h", shard); err != nil {
-				t.Fatal(err)
-			}
 		}
 		h := serve.NewHandler(s, serve.NewMetrics())
 		rec := &recorder{h: h}
@@ -722,19 +716,6 @@ func diffMutations(t *testing.T, rng *rand.Rand, c *diffCluster) {
 	wantSame(t, "node POST /ingest garbage", code, got, http.StatusBadRequest,
 		refError(fmt.Errorf("decoding ingest request: %w", err)))
 	c.takeAll()
-
-	// A shard merge answers with the version it published.
-	shard, err := build.Build(make([]int64, n), build.Options{Method: build.EquiWidth, BudgetWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := codec.Write(&wire, shard); err != nil {
-		t.Fatal(err)
-	}
-	code, got = serveOnce(c.nodes[0], http.MethodPost, "/synopsis/merge?name=h", wire.Bytes())
-	wantSame(t, "node POST /synopsis/merge", code, got, http.StatusOK,
-		refEncode(map[string]any{"ok": true, "version": c.servers[0].Snapshot().Version}))
 }
 
 // diffEncoders compares the typed bodies with the reference maps over

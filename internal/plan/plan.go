@@ -71,11 +71,6 @@ type Source struct {
 	Estimate func(a, b int) float64
 	// Bound returns the error certificate for the range.
 	Bound func(a, b int) (bound float64, rigorous bool, ok bool)
-	// NoModel marks a source with no error model at all (e.g. a
-	// shard-folded synopsis whose model cannot survive the fold). Every
-	// bound would be +Inf, so the planner skips the source outright for
-	// finite budgets instead of probing it per query.
-	NoModel bool
 }
 
 // View is the planner's read-only picture of one metric at one snapshot
@@ -223,12 +218,6 @@ func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64, t *Tal
 	}
 	for i := first; i < len(v.Sources); i++ {
 		src := &v.Sources[i]
-		if src.NoModel && !noBudget && !math.IsInf(maxErr, 1) {
-			// A model-less source cannot meet a finite budget — its bound
-			// is +Inf by construction — so it is skipped without probing.
-			// Under no budget (NaN) or an infinite one it still answers.
-			continue
-		}
 		t.probes++
 		bound, rigorous, ok := src.Bound(a, b)
 		if !ok {

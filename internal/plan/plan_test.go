@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"rangeagg/internal/obs"
 )
 
 // testView builds a two-source view: a coarse synopsis with a flat
@@ -169,77 +167,5 @@ func TestPathString(t *testing.T) {
 	}
 	if Path(99).String() != "Path(99)" {
 		t.Errorf("out-of-range path: got %q", Path(99).String())
-	}
-}
-
-// TestModelLessSkipSavesProbes is the regression test for the escalation
-// fix: a shard-folded (model-less) source used to be probed on every
-// budgeted query — estimate evaluated, bound found +Inf, budget missed —
-// before escalation moved on. The planner now skips such sources outright
-// for finite budgets; the probe counter (rangeagg_plan_probes_total)
-// proves no work is spent on them.
-func TestModelLessSkipSavesProbes(t *testing.T) {
-	probes := obs.Default.Counter("rangeagg_plan_probes_total")
-	p := New(0)
-	v := &View{
-		Domain: 100,
-		Sources: []Source{
-			{
-				Name: "folded", Words: 4, NoModel: true,
-				Estimate: func(a, b int) float64 { return 7 },
-				Bound:    func(a, b int) (float64, bool, bool) { return 0, false, false },
-			},
-			{
-				Name: "modeled", Words: 64,
-				Estimate: func(a, b int) float64 { return float64(b - a + 1) },
-				Bound:    func(a, b int) (float64, bool, bool) { return 1, true, true },
-			},
-		},
-		Exact: func(a, b int) float64 { return float64(b - a + 1) },
-	}
-	OrderSources(v.Sources)
-
-	// Budgeted queries: the cheap model-less source is never probed; each
-	// query costs exactly one probe (the modeled source answers).
-	const queries = 10
-	before := probes.Value()
-	for i := 0; i < queries; i++ {
-		ans, err := p.Query(v, "", i, i+5, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ans.Source != "modeled" {
-			t.Fatalf("budgeted query answered by %q, want modeled", ans.Source)
-		}
-	}
-	if got := probes.Value() - before; got != queries {
-		t.Fatalf("%d budgeted queries cost %d probes, want %d (model-less source must not be probed)",
-			queries, got, queries)
-	}
-
-	// No budget (NaN) and an infinite budget still answer from the
-	// cheapest source, model or not.
-	for _, budget := range []float64{math.NaN(), math.Inf(1)} {
-		ans, err := p.Query(v, "", 0, 9, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ans.Source != "folded" {
-			t.Fatalf("budget %v: answered by %q, want the cheapest (model-less) source", budget, ans.Source)
-		}
-	}
-
-	// A budget no modeled source meets falls through to exact without
-	// wasting a probe on the model-less one.
-	before = probes.Value()
-	ans, err := p.Query(v, "", 0, 9, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Path != PathExact {
-		t.Fatalf("unmeetable budget: got %+v, want exact fallback", ans)
-	}
-	if got := probes.Value() - before; got != 1 {
-		t.Fatalf("unmeetable budget cost %d probes, want 1", got)
 	}
 }

@@ -27,8 +27,6 @@ import (
 //	POST /load              LoadRequest → Ack
 //	POST /rebuild           force a snapshot rebuild now → RebuildReport
 //	GET  /synopsis          ?name= — synopsis in the synquery wire format
-//	POST /synopsis/merge    ?name= — merge a shard's synopsis (wire format
-//	                        body) → Ack with the published version
 //	GET  /metrics           MetricsReport: per-endpoint request/error/latency
 //	                        stats, per-method build timings, and the
 //	                        durability gauges when WAL-backed
@@ -192,19 +190,6 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 			return http.StatusInternalServerError, err
 		}
 		return 0, nil
-	})
-
-	x.Handle("/synopsis/merge", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		name := r.URL.Query().Get("name")
-		est, err := codec.Read(r.Body)
-		if err != nil {
-			return http.StatusBadRequest, err
-		}
-		if err := s.MergeSynopsis(name, est); err != nil {
-			return http.StatusConflict, err
-		}
-		version := s.Snapshot().Version
-		return Reply(w, Ack{OK: true, Version: &version})
 	})
 
 	x.Handle("/metrics", http.MethodGet, func(w http.ResponseWriter, r *http.Request) (int, error) {

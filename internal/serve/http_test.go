@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"rangeagg/internal/build"
 	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
 	"rangeagg/internal/wal"
@@ -193,84 +192,12 @@ func TestHandlerMetricsAndMethodChecks(t *testing.T) {
 	}
 }
 
-func TestHandlerSynopsisMerge(t *testing.T) {
-	s, _, ts := newTestHandler(t)
-	before := getJSON(t, ts.URL+"/query?syn=h&a=5&b=40", http.StatusOK)["value"].(float64)
-
-	shardCounts := make([]int64, 64)
-	for i := range shardCounts {
-		shardCounts[i] = int64(25 + i%4)
-	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiDepth, BudgetWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := codec.Write(&wire, shard); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/synopsis/merge?name=h", "application/json", bytes.NewReader(wire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("merge status %d", resp.StatusCode)
-	}
-	after := getJSON(t, ts.URL+"/query?syn=h&a=5&b=40", http.StatusOK)["value"].(float64)
-	want := before + shard.Estimate(5, 40)
-	if diff := after - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("post-merge answer %g, want %g", after, want)
-	}
-	// The merged synopsis stays exportable and the export includes the
-	// shard contribution.
-	exp, err := http.Get(ts.URL + "/synopsis?name=h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Body.Close()
-	if exp.StatusCode != http.StatusOK {
-		t.Fatalf("export status %d", exp.StatusCode)
-	}
-	est, err := codec.Read(exp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Estimate(5, 40); got-after > 1e-9 || after-got > 1e-9 {
-		t.Fatalf("exported estimate %g, served %g", got, after)
-	}
-	// A merge into a non-mergeable synopsis is refused with 409.
-	wire.Reset()
-	if err := codec.Write(&wire, shard); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/synopsis/merge?name=s", "application/json", bytes.NewReader(wire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("SAP0 merge status %d, want %d", resp.StatusCode, http.StatusConflict)
-	}
-	// A garbage body is a 400.
-	resp, err = http.Post(ts.URL+"/synopsis/merge?name=h", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage merge status %d, want %d", resp.StatusCode, http.StatusBadRequest)
-	}
-	_ = s
-}
-
 // TestHandlerDurabilityMetrics runs the handler over a WAL-backed server
 // and checks the /metrics durability block: gauges appear, count the
-// logged mutations, and a recovered server reports its replay (and
-// re-seeds accepted shard merges from the log).
+// logged mutations, and a recovered server reports its replay.
 func TestHandlerDurabilityMetrics(t *testing.T) {
 	dir := t.TempDir()
-	db, rec, err := wal.Open(dir, wal.Options{Domain: 64})
+	db, _, err := wal.Open(dir, wal.Options{Domain: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,35 +215,13 @@ func TestHandlerDurabilityMetrics(t *testing.T) {
 	counts[10] = 7
 	postJSON(t, ts.URL+"/load", map[string]any{"counts": counts}, http.StatusOK)
 
-	// An accepted shard merge is logged before it is acknowledged.
-	shardCounts := make([]int64, 64)
-	for i := range shardCounts {
-		shardCounts[i] = int64(1 + i%3)
-	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiWidth, BudgetWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := codec.Write(&wire, shard); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/synopsis/merge?name=h", "application/json", bytes.NewReader(wire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("merge status %d", resp.StatusCode)
-	}
-
 	stats := getJSON(t, ts.URL+"/metrics", http.StatusOK)
 	dur, ok := stats["durability"].(map[string]any)
 	if !ok {
 		t.Fatalf("no durability block in /metrics: %v", stats)
 	}
-	if got := dur["wal_appends"].(float64); got != 4 { // 2 inserts + load + merge
-		t.Fatalf("wal_appends = %v, want 4", got)
+	if got := dur["wal_appends"].(float64); got != 3 { // 2 inserts + load
+		t.Fatalf("wal_appends = %v, want 3", got)
 	}
 	if dur["wal_bytes"].(float64) <= 0 {
 		t.Fatalf("wal_bytes = %v, want > 0", dur["wal_bytes"])
@@ -327,7 +232,8 @@ func TestHandlerDurabilityMetrics(t *testing.T) {
 	if _, ok := dur["last_checkpoint_age_s"]; !ok {
 		t.Fatal("no last_checkpoint_age_s gauge")
 	}
-	mergedAnswer := getJSON(t, ts.URL+"/query?syn=h&a=0&b=63", http.StatusOK)["value"].(float64)
+	postJSON(t, ts.URL+"/rebuild", nil, http.StatusOK)
+	answer := getJSON(t, ts.URL+"/query?syn=h&a=0&b=63", http.StatusOK)["value"].(float64)
 
 	ts.Close()
 	s.Close()
@@ -335,17 +241,14 @@ func TestHandlerDurabilityMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover: the replay count surfaces in the gauges and the accepted
-	// shard merge is re-seeded into the rebuilt synopsis.
-	db2, rec, err := wal.Open(dir, wal.Options{})
+	// Recover: the replay count surfaces in the gauges and the rebuilt
+	// synopsis answers as before.
+	db2, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if len(rec.Shards) != 1 {
-		t.Fatalf("recovered %d shard merges, want 1", len(rec.Shards))
-	}
-	s2, err := New(db2.Engine(), testSpecs(), Config{WAL: db2, RecoveredShards: rec.Shards})
+	s2, err := New(db2.Engine(), testSpecs(), Config{WAL: db2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +257,12 @@ func TestHandlerDurabilityMetrics(t *testing.T) {
 
 	stats = getJSON(t, ts2.URL+"/metrics", http.StatusOK)
 	dur = stats["durability"].(map[string]any)
-	if got := dur["replayed_records"].(float64); got != 4 {
-		t.Fatalf("replayed_records = %v after restart, want 4", got)
+	if got := dur["replayed_records"].(float64); got != 3 {
+		t.Fatalf("replayed_records = %v after restart, want 3", got)
 	}
 	got := getJSON(t, ts2.URL+"/query?syn=h&a=0&b=63", http.StatusOK)["value"].(float64)
-	if got-mergedAnswer > 1e-9 || mergedAnswer-got > 1e-9 {
-		t.Fatalf("recovered merged answer %g, pre-restart %g", got, mergedAnswer)
+	if got-answer > 1e-9 || answer-got > 1e-9 {
+		t.Fatalf("recovered answer %g, pre-restart %g", got, answer)
 	}
 	// A plain (non-durable) server exposes no durability block.
 	_, _, plain := newTestHandler(t)

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/obs"
 	"rangeagg/internal/plan"
 )
 
@@ -175,12 +178,77 @@ func TestServeTypedErrors(t *testing.T) {
 		"Snapshot.Approx":   func() error { _, err := snap.Approx("ghost", 0, 1); return err }(),
 		"Snapshot.Synopsis": func() error { _, err := snap.Synopsis("ghost"); return err }(),
 		"Server.Query":      func() error { _, err := s.Query(Query{Synopsis: "ghost", A: 0, B: 1}); return err }(),
-		"MergeSynopsis":     s.MergeSynopsis("ghost", nil),
 	} {
 		if !errors.As(err, &use) {
 			t.Errorf("%s: error %v (%T) is not *engine.UnknownSynopsisError", name, err, err)
 		} else if use.Name != "ghost" || use.Scope != "serve" {
 			t.Errorf("%s: error fields %+v", name, use)
+		}
+	}
+}
+
+// TestServeModelLessSynopsis serves a synopsis without an error model
+// (WAVE-AA2D, probed before the dearer A0 beside it) through real
+// snapshots: without a budget it answers unbounded, and under any finite
+// budget it is probed, misses, and A0 or the exact tables answer.
+func TestServeModelLessSynopsis(t *testing.T) {
+	eng, err := engine.New("model-less", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, 64)
+	for i := range counts {
+		counts[i] = int64(i % 7)
+	}
+	if err := eng.Load(counts); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(eng, []engine.SynopsisSpec{
+		{Name: "aa", Metric: engine.Count, Options: build.Options{Method: build.WaveAA2D, BudgetWords: 8}},
+		{Name: "a0", Metric: engine.Count, Options: build.Options{Method: build.A0, BudgetWords: 32}},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s, NewMetrics()))
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	if src := s.Snapshot().View(engine.Count).Sources; len(src) != 2 || src[0].Name != "aa" {
+		t.Fatalf("probe order %+v, want aa first", src)
+	}
+
+	res, _ := s.QueryOne(Query{Synopsis: "aa", A: 3, B: 40})
+	if res.Err != nil || !math.IsInf(res.Bound, 1) || res.Rigorous || res.Path != plan.PathProbe || res.Source != "aa" {
+		t.Fatalf("unbudgeted answer %+v, want an unbounded, non-rigorous aa probe", res)
+	}
+	resp := getJSON(t, ts.URL+"/query?syn=aa&a=3&b=40", http.StatusOK)
+	for _, key := range []string{"err", "rigorous"} {
+		if _, ok := resp[key]; ok {
+			t.Fatalf("unbounded /query answer carries %q: %v", key, resp)
+		}
+	}
+	var batch map[string]json.RawMessage
+	raw := postJSONRaw(t, ts.URL+"/query/batch", `{"synopsis":"aa","ranges":[[0,10],[3,40]]}`, http.StatusOK)
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if string(batch["errs"]) != "[null,null]" {
+		t.Fatalf("unbounded batch errs %s, want [null,null]", batch["errs"])
+	}
+
+	probes := obs.Default.Counter("rangeagg_plan_probes_total")
+	for _, budget := range []float64{0, 1, 1e300} {
+		for _, pinned := range []string{"aa", ""} {
+			before := probes.Value()
+			res, _ := s.QueryOne(Query{Synopsis: pinned, A: 3, B: 40, MaxErr: &budget})
+			if res.Err != nil || !(res.Path == plan.PathEscalate && res.Source == "a0" || res.Path == plan.PathExact) {
+				t.Fatalf("budget %g, pinned %q: %+v, want A0 (escalate) or exact", budget, pinned, res)
+			}
+			if budget == 1e300 && res.Source != "a0" {
+				t.Fatalf("budget 1e300, pinned %q: answered by %q, want a0", pinned, res.Source)
+			}
+			if got := probes.Value() - before; got != 2 {
+				t.Fatalf("budget %g, pinned %q: %d probes, want 2 (aa, then a0)", budget, pinned, got)
+			}
 		}
 	}
 }

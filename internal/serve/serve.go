@@ -51,14 +51,11 @@ type Config struct {
 	// pool; smaller batches evaluate inline (default 128).
 	FanOut int
 	// WAL, when non-nil, makes the server durable: the engine must be
-	// the DB's engine, every mutation path (ingest, load, shard merge)
-	// appends its log record before the call acknowledges, and a
-	// checkpoint piggybacks on the debounced rebuild once enough records
-	// accumulate.
+	// the DB's engine, every mutation path (ingest, load) appends its log
+	// record before the call acknowledges, and a checkpoint piggybacks on
+	// the debounced rebuild once enough records accumulate.
 	WAL *wal.DB
-	// RecoveredShards seeds the shard-merge inbox from crash recovery
-	// without re-logging. Entries whose name has no registered spec are
-	// ignored.
+	// RecoveredShards is ignored; it stays only because perfbench sets it.
 	RecoveredShards []wal.ShardMerge
 	// NodeID names this node in /healthz (cluster deployments); empty is
 	// fine for standalone servers.
@@ -102,12 +99,6 @@ type Server struct {
 	rebuildMu sync.Mutex
 	specMu    sync.RWMutex
 	specs     []engine.SynopsisSpec
-
-	// shardMu guards shards: per-synopsis estimators received from remote
-	// shards (MergeSynopsis). A rebuild folds them into the freshly built
-	// local synopsis, so shard contributions survive snapshot swaps.
-	shardMu sync.RWMutex
-	shards  map[string][]build.Estimator
 
 	// watch is the mutation window the engine keeps for this server:
 	// Rebuild captures it with the counts, and its dirty-since time is
@@ -174,30 +165,17 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 		watch:     eng.Watch(),
 		cfg:       cfg.withDefaults(),
 		specs:     append([]engine.SynopsisSpec(nil), specs...),
-		shards:    make(map[string][]build.Estimator),
 		ingStates: make(map[string]*ingest.State),
 		dirty:     make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	s.planner = plan.New(0)
-	for _, sh := range cfg.RecoveredShards {
-		for _, sp := range s.specs {
-			if sp.Name == sh.Name {
-				s.shards[sh.Name] = append(s.shards[sh.Name], sh.Est)
-				break
-			}
-		}
-	}
 	if err := s.Rebuild(); err != nil {
 		s.watch.Close()
 		return nil, err
 	}
-	if s.cfg.WAL != nil {
-		// Checkpoints carry the serving specs so replicas (and recovery)
-		// can rebuild this node's full serving shape from counts alone.
-		s.cfg.WAL.SetDeclaredSpecs(s.specs)
-	}
+	s.declareSpecs()
 	go s.debounceLoop()
 	return s, nil
 }
@@ -299,18 +277,20 @@ func (s *Server) AddSynopsis(spec engine.SynopsisSpec) error {
 	}
 	s.specs = append(s.specs, spec)
 	s.specMu.Unlock()
-	if err := s.Rebuild(); err != nil {
+	err := s.Rebuild()
+	s.specMu.Lock()
+	defer s.specMu.Unlock()
+	if err != nil {
 		// Roll the bad spec back so later rebuilds keep succeeding.
-		s.specMu.Lock()
 		for i, sp := range s.specs {
 			if sp.Name == spec.Name {
 				s.specs = append(s.specs[:i], s.specs[i+1:]...)
 				break
 			}
 		}
-		s.specMu.Unlock()
 		return err
 	}
+	s.declareSpecs()
 	return nil
 }
 
@@ -322,21 +302,19 @@ func (s *Server) DropSynopsis(name string) bool {
 	for i, sp := range s.specs {
 		if sp.Name == name {
 			s.specs = append(s.specs[:i], s.specs[i+1:]...)
+			s.declareSpecs()
 			found = true
 			break
 		}
 	}
 	s.specMu.Unlock()
 	if found {
-		s.shardMu.Lock()
-		delete(s.shards, name)
-		s.shardMu.Unlock()
 		s.ingMu.Lock()
 		delete(s.ingStates, name)
 		s.ingMu.Unlock()
 		if s.cfg.WAL != nil {
-			// Purge the durable inbox too so recovery cannot resurrect
-			// shard merges for the dropped synopsis.
+			// Drop the engine copy that recovery restored from a
+			// checkpoint, so later checkpoints stop carrying it.
 			_, _ = s.cfg.WAL.DropSynopsis(name)
 		}
 		// Dropping a spec cannot fail construction of the others.
@@ -345,56 +323,13 @@ func (s *Server) DropSynopsis(name string) bool {
 	return found
 }
 
-// MergeSynopsis accepts a remote shard's estimator for the named
-// synopsis: every published snapshot from now on serves the local
-// synopsis merged with all accepted shard estimators, answering each
-// range with the sum of local and shard estimates. The synopsis's
-// method must have the Mergeable capability and the estimator must be a
-// compatible representation over the same domain (validated against the
-// current snapshot before the shard is accepted). Note the shard's
-// records are known to this server only through its estimator: exact
-// (synopsis-less) queries keep answering from local data alone.
-func (s *Server) MergeSynopsis(name string, est build.Estimator) error {
-	s.specMu.RLock()
-	var spec *engine.SynopsisSpec
-	for i := range s.specs {
-		if s.specs[i].Name == name {
-			spec = &s.specs[i]
-			break
-		}
-	}
-	s.specMu.RUnlock()
-	if spec == nil {
-		return &engine.UnknownSynopsisError{Scope: "serve", Name: name}
-	}
-	d, err := method.Lookup(spec.Options.Method)
-	if err != nil {
-		return fmt.Errorf("serve: merging into %q: %w", name, err)
-	}
-	if !d.Caps.Has(method.Mergeable) {
-		return fmt.Errorf("serve: %s synopses are not mergeable", d.Name)
-	}
-	if est.N() != s.eng.Domain() {
-		return fmt.Errorf("serve: shard domain %d does not match %d", est.N(), s.eng.Domain())
-	}
-	// Dry-run against the served synopsis so an incompatible shard is
-	// rejected here instead of poisoning every later rebuild.
-	if cur, err := s.Snapshot().Synopsis(name); err == nil {
-		if _, err := d.Merge(cur.Est, est); err != nil {
-			return fmt.Errorf("serve: merging into %q: %w", name, err)
-		}
-	}
+// declareSpecs hands the WAL the specs this server serves, so that every
+// checkpoint declares them to replicas and to recovery. Callers hold
+// specMu or own the server exclusively.
+func (s *Server) declareSpecs() {
 	if s.cfg.WAL != nil {
-		// Append before acknowledging: an accepted shard survives a
-		// crash from here on.
-		if err := s.cfg.WAL.LogShardMerge(name, est); err != nil {
-			return err
-		}
+		s.cfg.WAL.SetDeclaredSpecs(s.specs)
 	}
-	s.shardMu.Lock()
-	s.shards[name] = append(s.shards[name], est)
-	s.shardMu.Unlock()
-	return s.Rebuild()
 }
 
 // ingestState returns — creating on first use — the maintenance state
@@ -553,16 +488,6 @@ func (s *Server) Rebuild() error {
 	}
 
 	prev := s.snap.Load()
-	// One shard-inbox snapshot drives both the refresh inputs and the fold
-	// below, so a shard arriving mid-rebuild cannot fold into a reused
-	// estimator (its own Rebuild call is already queued).
-	s.shardMu.RLock()
-	shardsFor := make([][]build.Estimator, len(specs))
-	for i, sp := range specs {
-		shardsFor[i] = s.shards[sp.Name]
-	}
-	s.shardMu.RUnlock()
-
 	snap := &Snapshot{
 		Version: version,
 		Domain:  len(counts),
@@ -580,11 +505,9 @@ func (s *Server) Rebuild() error {
 	}
 	for i := range specs {
 		i, sp := i, specs[i]
-		// A synopsis folding shards answers for remote records too, so it
-		// is never a starting point: those specs always build in full.
 		var from *build.Prev
 		var st *ingest.State
-		if prev != nil && len(shardsFor[i]) == 0 {
+		if prev != nil {
 			if p := prev.syns[sp.Name]; p != nil && p.Metric == sp.Metric && p.Options == sp.Options {
 				prevSyns[i] = p
 				from = &build.Prev{Est: p.Est, Version: prev.Version}
@@ -607,23 +530,9 @@ func (s *Server) Rebuild() error {
 			return fail(fmt.Errorf("serve: building synopsis %q: %w", specs[i].Name, err))
 		}
 	}
-	// Fold accepted shard estimators into the fresh local synopses, in
-	// arrival order, so shard contributions survive the snapshot swap.
-	for i, sp := range specs {
-		for _, shard := range shardsFor[i] {
-			merged, err := method.MustLookup(sp.Options.Method).Merge(ests[i], shard)
-			if err != nil {
-				return fail(fmt.Errorf("serve: merging shard into %q: %w", sp.Name, err))
-			}
-			ests[i] = merged
-		}
-	}
 	// Error models, built concurrently against the snapshot's own prefix
-	// tables. Reused synopses carry theirs over. Shard-folded synopses get
-	// none: their answers cover remote records the local tables cannot
-	// see, so no local bound is valid (the planner skips them outright
-	// under finite budgets). A model failure just leaves that synopsis
-	// serving unbounded.
+	// tables. Reused synopses carry theirs over. A model failure just
+	// leaves that synopsis serving unbounded.
 	var mtasks []func()
 	for i, sp := range specs {
 		if steps[i].Rung == build.Reuse {
@@ -631,7 +540,7 @@ func (s *Server) Rebuild() error {
 			continue
 		}
 		d, err := method.Lookup(sp.Options.Method)
-		if len(shardsFor[i]) > 0 || err != nil || !d.Caps.Has(method.ErrorBounded) {
+		if err != nil || !d.Caps.Has(method.ErrorBounded) {
 			continue
 		}
 		tab := snap.count

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/wal"
 )
 
 func testSpecs() []engine.SynopsisSpec {
@@ -177,6 +180,50 @@ func TestAddDropSynopsis(t *testing.T) {
 	}
 }
 
+// TestCheckpointDeclaresServedSpecs checks that a durable server's
+// checkpoints declare the specs it serves after AddSynopsis and
+// DropSynopsis, so a replica adopts the added one and recovery does not
+// rebuild the dropped one.
+func TestCheckpointDeclaresServedSpecs(t *testing.T) {
+	db, _, err := wal.Open(t.TempDir(), wal.Options{Domain: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := New(db.Engine(), testSpecs(), Config{WAL: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := engine.SynopsisSpec{Name: "w", Metric: engine.Count, Options: build.Options{Method: build.WaveTopBB, BudgetWords: 8}}
+	if err := s.AddSynopsis(w); err != nil {
+		t.Fatal(err)
+	}
+	if !s.DropSynopsis("h") {
+		t.Fatal("DropSynopsis(h) = false")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rc, _, _, err := db.OpenNewestCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ck, err := wal.DecodeCheckpoint(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sp := range ck.Specs {
+		names = append(names, sp.Name)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, []string{"s", "w"}) {
+		t.Fatalf("checkpoint declares %v, server serves %v", names, s.Snapshot().Names())
+	}
+}
+
 func TestRebuildFailureKeepsOldSnapshot(t *testing.T) {
 	_, s := newTestServer(t, 32, Config{})
 	good := s.Snapshot()
@@ -269,89 +316,4 @@ func TestSnapshotNeverTornUnderConcurrentRebuilds(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
-}
-
-func TestMergeSynopsisSurvivesRebuild(t *testing.T) {
-	eng, s := newTestServer(t, 64, Config{})
-	counts := make([]int64, 64)
-	for i := range counts {
-		counts[i] = int64(3 + i%11)
-	}
-	if err := eng.Load(counts); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	local, err := s.Snapshot().Synopsis("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardCounts := make([]int64, 64)
-	for i := range shardCounts {
-		shardCounts[i] = int64(40 - i%7)
-	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiDepth, BudgetWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MergeSynopsis("h", shard); err != nil {
-		t.Fatal(err)
-	}
-	want := local.Est.Estimate(5, 40) + shard.Estimate(5, 40)
-	got, err := s.Snapshot().Approx("h", 5, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("merged answer %g, want local+shard %g", got, want)
-	}
-	// The shard contribution survives a full rebuild: the fresh local
-	// synopsis is re-merged with the accepted shard estimator.
-	if err := eng.Insert(7, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := s.Snapshot().Synopsis("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Est.StorageWords() <= local.Est.StorageWords() {
-		t.Errorf("rebuilt synopsis has %d words; expected the shard's boundary union to add buckets over %d",
-			fresh.Est.StorageWords(), local.Est.StorageWords())
-	}
-	after, err := s.Snapshot().Approx("h", 5, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after <= got-1e-9 {
-		t.Errorf("post-rebuild answer %g lost the shard contribution (%g before, +100 inserted)", after, got)
-	}
-
-	// Capability and validation errors.
-	if err := s.MergeSynopsis("s", shard); err == nil {
-		t.Error("merge into SAP0 accepted; want a capability error")
-	}
-	if err := s.MergeSynopsis("nope", shard); err == nil {
-		t.Error("merge into unknown synopsis accepted")
-	}
-	small, err := build.Build([]int64{1, 2, 3}, build.Options{Method: build.EquiWidth, BudgetWords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MergeSynopsis("h", small); err == nil {
-		t.Error("domain-mismatched shard accepted")
-	}
-	// Dropping the synopsis clears its shard inbox.
-	if !s.DropSynopsis("h") {
-		t.Fatal("DropSynopsis(h) = false")
-	}
-	s.shardMu.RLock()
-	pending := len(s.shards["h"])
-	s.shardMu.RUnlock()
-	if pending != 0 {
-		t.Errorf("%d shard estimators survived DropSynopsis", pending)
-	}
 }

@@ -21,8 +21,7 @@ type Synopsis struct {
 	// Est is the immutable estimator.
 	Est build.Estimator
 	// ErrModel is the per-range error model built against the snapshot's
-	// data, or nil when the method has none or the synopsis folds remote
-	// shards (whose records the local error model cannot see).
+	// data, or nil when the method has none (WAVE-AA2D).
 	ErrModel method.ErrorModel
 }
 
@@ -44,8 +43,8 @@ type Snapshot struct {
 	syns  map[string]*Synopsis
 
 	// epoch is the publish sequence number /healthz reports. It is NOT
-	// Version: shard merges and spec changes publish new snapshots (new
-	// estimators, same engine data).
+	// Version: spec changes and forced rebuilds publish new snapshots
+	// over the same engine data.
 	epoch int64
 	// views are the planner's per-metric pictures of the snapshot
 	// (indexed by engine.Count/engine.Sum), built once at publish time.
@@ -127,7 +126,6 @@ func (s *Snapshot) buildViews() {
 					}
 					return em.Bound(a, b), em.Rigorous(), true
 				},
-				NoModel: em == nil,
 			})
 		}
 		plan.OrderSources(v.Sources)

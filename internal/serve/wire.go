@@ -153,11 +153,9 @@ type LoadRequest struct {
 	Counts []int64 `json:"counts"`
 }
 
-// Ack answers an accepted mutation; POST /synopsis/merge adds the
-// version it published.
+// Ack answers an accepted mutation.
 type Ack struct {
-	OK      bool   `json:"ok"`
-	Version *int64 `json:"version,omitempty"`
+	OK bool `json:"ok"`
 }
 
 // Liveness is the GET /health body.

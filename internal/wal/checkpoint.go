@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,15 +21,19 @@ const ckptMagic = "RAGGCKP1"
 
 // checkpointWire is the JSON body of a checkpoint file: the exact counts
 // at the applied index plus every built synopsis (serializable ones as
-// their codec envelope bytes, the rest as rebuild-from-counts specs) and
-// the serving layer's accepted shard estimators.
+// their codec envelope bytes, the rest as rebuild-from-counts specs).
 type checkpointWire struct {
 	Name     string         `json:"name"`
 	Domain   int            `json:"domain"`
 	Applied  uint64         `json:"applied"`
 	Counts   []int64        `json:"counts"`
 	Synopses []ckptSynopsis `json:"synopses,omitempty"`
-	Shards   []ckptShard    `json:"shards,omitempty"`
+	// Shards is never written. It is decoded only so that a checkpoint of
+	// the retired shard inbox is refused (ShardInboxError) rather than
+	// loaded without it.
+	Shards []struct {
+		Name string `json:"name"`
+	} `json:"shards,omitempty"`
 }
 
 // ckptSynopsis persists one engine-registered synopsis. Blob is the
@@ -41,12 +46,6 @@ type ckptSynopsis struct {
 	Metric  int           `json:"metric"`
 	Options build.Options `json:"options"`
 	Blob    []byte        `json:"blob,omitempty"`
-}
-
-// ckptShard persists one accepted serving-layer shard estimator.
-type ckptShard struct {
-	Name string `json:"name"`
-	Blob []byte `json:"blob"`
 }
 
 // checkpointName returns the file name of the checkpoint covering all
@@ -141,6 +140,9 @@ func decodeCheckpointBytes(buf []byte, src string) (checkpointWire, error) {
 			return wire, fmt.Errorf("wal: checkpoint %s: negative count at value %d", src, v)
 		}
 	}
+	if len(wire.Shards) > 0 {
+		return wire, &ShardInboxError{Src: src, Name: wire.Shards[0].Name}
+	}
 	return wire, nil
 }
 
@@ -169,7 +171,7 @@ func pruneCheckpoints(dir string, keep int) error {
 // newestValidCheckpoint loads the newest checkpoint that passes
 // validation, skipping damaged ones. found is false when the directory
 // has no checkpoint at all; an error means checkpoints exist but none
-// loads.
+// loads, or the newest intact one holds shard-inbox state.
 func newestValidCheckpoint(dir string) (checkpointWire, bool, error) {
 	cks, err := listCheckpoints(dir)
 	if err != nil {
@@ -183,6 +185,12 @@ func newestValidCheckpoint(dir string) (checkpointWire, bool, error) {
 		wire, err := readCheckpoint(cks[i].path)
 		if err == nil {
 			return wire, true, nil
+		}
+		var inbox *ShardInboxError
+		if errors.As(err, &inbox) {
+			// Not damage: an older generation would lose the records this
+			// one covers.
+			return checkpointWire{}, true, err
 		}
 		if firstErr == nil {
 			firstErr = err

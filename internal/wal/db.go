@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -59,13 +60,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ShardMerge is one serving-layer shard estimator recovered from the
-// log: accepted by MergeSynopsis pre-crash, to be re-seeded into the
-// server's inbox.
-type ShardMerge struct {
-	Name string
-	Est  build.Estimator
-}
+// ShardMerge is empty and never produced; it stays only because perfbench assigns Recovery.Shards to serve.Config.RecoveredShards.
+type ShardMerge struct{}
 
 // Recovery describes what Open reconstructed.
 type Recovery struct {
@@ -79,7 +75,7 @@ type Recovery struct {
 	// Torn is true when replay stopped at a torn or corrupt record and
 	// the log was truncated to the valid prefix.
 	Torn bool
-	// Shards are the serving-layer shard merges in force at the crash.
+	// Shards is always nil; it stays only because perfbench reads it.
 	Shards []ShardMerge
 }
 
@@ -121,7 +117,6 @@ type DB struct {
 	mu       sync.Mutex
 	eng      *engine.Engine
 	log      *Log
-	shards   []ShardMerge          // durable serving-layer inbox
 	declared []engine.SynopsisSpec // serving-layer specs to carry in checkpoints
 
 	// ckptMu serializes checkpoint writes against each other.
@@ -139,7 +134,9 @@ type DB struct {
 // record, truncating the log to the valid prefix — and reports what it
 // did. A fresh directory requires opt.Domain and immediately gets a
 // baseline checkpoint, so a data directory always carries enough state
-// to recover without external configuration.
+// to recover without external configuration. A directory holding state
+// of the retired shard inbox fails with *ShardInboxError and is left
+// untouched.
 func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	_, span := obs.Start(context.Background(), "wal.recover")
 	span.SetAttr("dir", dir)
@@ -170,11 +167,9 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	}
 	rec.Checkpoint = ckpt.Applied
 
-	eng, shards, err := restoreCheckpoint(ckpt)
-	if err != nil {
+	if d.eng, err = restoreCheckpoint(ckpt); err != nil {
 		return nil, nil, err
 	}
-	d.eng, d.shards = eng, shards
 
 	nextIndex, activePath, activeBase, activeCount, activeEnd, err := d.replay(ckpt.Applied, rec)
 	if err != nil {
@@ -189,7 +184,6 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.Shards = append([]ShardMerge(nil), d.shards...)
 
 	span.SetAttrInt("checkpoint", int64(rec.Checkpoint))
 	span.SetAttrInt("replayed", rec.Replayed)
@@ -200,43 +194,35 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	return d, rec, nil
 }
 
-// restoreCheckpoint rebuilds the engine and shard inbox a checkpoint
-// describes: counts are loaded, serialized synopses are decoded and
-// installed verbatim (bit-identical to the pre-crash estimators), and
-// spec-only synopses are rebuilt from the checkpoint counts.
-func restoreCheckpoint(ckpt checkpointWire) (*engine.Engine, []ShardMerge, error) {
+// restoreCheckpoint rebuilds the engine a checkpoint describes: counts
+// are loaded, serialized synopses are decoded and installed verbatim
+// (bit-identical to the pre-crash estimators), and spec-only synopses
+// are rebuilt from the checkpoint counts.
+func restoreCheckpoint(ckpt checkpointWire) (*engine.Engine, error) {
 	eng, err := engine.New(ckpt.Name, ckpt.Domain)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := eng.Load(ckpt.Counts); err != nil {
-		return nil, nil, fmt.Errorf("wal: restoring counts: %w", err)
+		return nil, fmt.Errorf("wal: restoring counts: %w", err)
 	}
 	for _, cs := range ckpt.Synopses {
 		if cs.Blob == nil {
 			if _, err := eng.BuildSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options); err != nil {
-				return nil, nil, fmt.Errorf("wal: rebuilding synopsis %q: %w", cs.Name, err)
+				return nil, fmt.Errorf("wal: rebuilding synopsis %q: %w", cs.Name, err)
 			}
 			continue
 		}
 		est, err := codec.Read(bytes.NewReader(cs.Blob))
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: decoding synopsis %q: %w", cs.Name, err)
+			return nil, fmt.Errorf("wal: decoding synopsis %q: %w", cs.Name, err)
 		}
 		if est.N() != ckpt.Domain {
-			return nil, nil, fmt.Errorf("wal: synopsis %q spans domain %d, checkpoint holds %d", cs.Name, est.N(), ckpt.Domain)
+			return nil, fmt.Errorf("wal: synopsis %q spans domain %d, checkpoint holds %d", cs.Name, est.N(), ckpt.Domain)
 		}
 		eng.InstallSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options, est)
 	}
-	var shards []ShardMerge
-	for _, sh := range ckpt.Shards {
-		est, err := codec.Read(bytes.NewReader(sh.Blob))
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: decoding shard for %q: %w", sh.Name, err)
-		}
-		shards = append(shards, ShardMerge{Name: sh.Name, Est: est})
-	}
-	return eng, shards, nil
+	return eng, nil
 }
 
 // replay applies the log tail past the checkpoint. It returns where the
@@ -298,6 +284,14 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 			if err == nil {
 				err = d.apply(rw)
 			}
+			var inbox *ShardInboxError
+			if errors.As(err, &inbox) {
+				// Not damage: truncating here would drop the acknowledged
+				// records after it. Nothing has been modified yet, since
+				// files change only past a tear.
+				inbox.Src = s.path
+				return 0, "", 0, 0, 0, inbox
+			}
 			if err != nil {
 				// A record that decodes but cannot apply is treated like
 				// a torn record: the valid prefix ends just before it.
@@ -335,9 +329,8 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 	return nextIndex, activePath, activeBase, activeCount, activeEnd, nil
 }
 
-// apply performs one logged mutation against the engine (or the shard
-// inbox). It is the single interpretation of the log, shared by live
-// appends' pre-validation and recovery replay.
+// apply performs one logged mutation against the engine. It is the
+// single interpretation of the log.
 func (d *DB) apply(rw recordWire) error {
 	switch rw.Kind {
 	case KindInsert:
@@ -354,16 +347,14 @@ func (d *DB) apply(rw recordWire) error {
 		return err
 	case KindDropSpec:
 		d.eng.DropSynopsis(rw.Name)
-		d.dropShards(rw.Name)
 		return nil
 	case KindMerge:
+		if rw.Counts == nil {
+			return &ShardInboxError{Name: rw.Name}
+		}
 		est, err := codec.Read(bytes.NewReader(rw.Blob))
 		if err != nil {
 			return fmt.Errorf("wal: decoding merge shard: %w", err)
-		}
-		if rw.Counts == nil {
-			d.shards = append(d.shards, ShardMerge{Name: rw.Name, Est: est})
-			return nil
 		}
 		if rw.Options == nil {
 			return fmt.Errorf("wal: merge record without options")
@@ -372,16 +363,6 @@ func (d *DB) apply(rw recordWire) error {
 		return err
 	}
 	return fmt.Errorf("wal: unknown record kind %q", rw.Kind)
-}
-
-func (d *DB) dropShards(name string) {
-	kept := d.shards[:0]
-	for _, sh := range d.shards {
-		if sh.Name != name {
-			kept = append(kept, sh)
-		}
-	}
-	d.shards = kept
 }
 
 // Engine exposes the wrapped engine for reads (queries, reports,
@@ -440,22 +421,19 @@ func (d *DB) BuildSynopsis(name string, metric engine.Metric, opt build.Options)
 	return syn, err
 }
 
-// DropSynopsis durably drops a synopsis (and any shard-inbox entries
-// under its name). Only an existing synopsis is logged.
+// DropSynopsis durably drops a synopsis. Only an existing synopsis is
+// logged.
 func (d *DB) DropSynopsis(name string) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	had := d.eng.DropSynopsis(name)
-	before := len(d.shards)
-	d.dropShards(name)
-	if !had && len(d.shards) == before {
+	if !d.eng.DropSynopsis(name) {
 		return false, nil
 	}
 	if _, err := d.log.Append(recordWire{Kind: KindDropSpec, Name: name}); err != nil {
-		return had, fmt.Errorf("wal: mutation applied but not logged (restart will lose it): %w", err)
+		return true, fmt.Errorf("wal: mutation applied but not logged (restart will lose it): %w", err)
 	}
 	d.stats.sinceCkpt.Add(1)
-	return had, nil
+	return true, nil
 }
 
 // AbsorbShard durably merges a shard's counts and synopsis into the
@@ -472,22 +450,6 @@ func (d *DB) AbsorbShard(name string, shardCounts []int64, metric engine.Metric,
 			return err
 		})
 	return syn, err
-}
-
-// LogShardMerge durably records a serving-layer shard acceptance: the
-// estimator joins the recovered inbox on restart. The caller (the
-// server) performs its own validation and folding; this call appends
-// before the server acknowledges.
-func (d *DB) LogShardMerge(name string, est build.Estimator) error {
-	blob, err := encodeEstimator(est)
-	if err != nil {
-		return err
-	}
-	return d.logged(recordWire{Kind: KindMerge, Name: name, Blob: blob},
-		func() error {
-			d.shards = append(d.shards, ShardMerge{Name: name, Est: est})
-			return nil
-		})
 }
 
 // encodeEstimator serializes an estimator to its codec envelope bytes.
@@ -517,7 +479,6 @@ func (d *DB) Checkpoint() error {
 	counts := d.eng.Counts()
 	syns := d.eng.Synopses()
 	declared := append([]engine.SynopsisSpec(nil), d.declared...)
-	shards := append([]ShardMerge(nil), d.shards...)
 	if err := d.log.Rotate(); err != nil {
 		d.mu.Unlock()
 		return err
@@ -552,13 +513,6 @@ func (d *DB) Checkpoint() error {
 		if !dup {
 			wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: sp.Name, Metric: int(sp.Metric), Options: sp.Options})
 		}
-	}
-	for _, sh := range shards {
-		blob, err := encodeEstimator(sh.Est)
-		if err != nil {
-			return fmt.Errorf("wal: checkpointing shard for %q: %w", sh.Name, err)
-		}
-		wire.Shards = append(wire.Shards, ckptShard{Name: sh.Name, Blob: blob})
 	}
 	if err := writeCheckpoint(d.dir, wire); err != nil {
 		return err

@@ -36,7 +36,8 @@ type CheckpointData struct {
 // DecodeCheckpoint reads one checkpoint stream (the bytes served by a
 // primary's GET /checkpoint, i.e. a verbatim checkpoint file) and
 // returns its validated contents. Any truncation or corruption fails
-// the CRC and is reported as an error, never installed.
+// the CRC and is reported as an error, never installed; a checkpoint
+// holding shard-inbox state fails with *ShardInboxError.
 func DecodeCheckpoint(r io.Reader) (*CheckpointData, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {

@@ -50,15 +50,31 @@ const (
 	KindDelete   Kind = "delete"
 	KindLoad     Kind = "load"
 	KindAddSpec  Kind = "addspec"  // build + register a synopsis
-	KindDropSpec Kind = "dropspec" // drop a synopsis (and its shard inbox)
-	KindMerge    Kind = "merge"    // absorb a shard (counts+synopsis) or inbox a shard synopsis (no counts)
+	KindDropSpec Kind = "dropspec" // drop a synopsis
+	KindMerge    Kind = "merge"    // absorb a shard's counts and synopsis
 )
 
+// ShardInboxError reports state of the retired serving-layer shard
+// inbox: a merge record without counts, or a checkpoint's shards
+// section. That state folded a remote estimator without its records,
+// which this version does not serve, so Open and DecodeCheckpoint refuse
+// it whole instead of skipping it or truncating the log at it; no file
+// is modified.
+type ShardInboxError struct {
+	// Src is the segment file or checkpoint holding the state.
+	Src string
+	// Name is the synopsis the shard estimator was merged into.
+	Name string
+}
+
+func (e *ShardInboxError) Error() string {
+	return fmt.Sprintf("wal: %s holds a shard-inbox merge into synopsis %q, which this version no longer reads", e.Src, e.Name)
+}
+
 // recordWire is the JSON payload of one log record. Fields are used per
-// kind: insert/delete use Value+Occ; load and merge use Counts (merge
-// with nil Counts is a serving-layer shard-inbox merge); addspec and
-// merge carry the synopsis identity (Name, Metric, Options); merge also
-// carries the shard estimator in the codec envelope form (Blob).
+// kind: insert/delete use Value+Occ; load and merge use Counts; addspec
+// and merge carry the synopsis identity (Name, Metric, Options); merge
+// also carries the shard estimator in the codec envelope form (Blob).
 type recordWire struct {
 	Kind    Kind           `json:"kind"`
 	Value   int            `json:"value,omitempty"`

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -11,7 +12,6 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
-	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
 )
 
@@ -447,61 +447,117 @@ func TestOnlyCheckpointCorruptFailsOpen(t *testing.T) {
 	}
 }
 
-func TestShardInboxSurvivesRestart(t *testing.T) {
+// inboxBlob returns the codec bytes of a mergeable estimator over
+// domain 32: the payload the retired shard inbox logged and
+// checkpointed.
+func inboxBlob(t *testing.T) []byte {
+	t.Helper()
+	counts := make([]int64, 32)
+	counts[4] = 9
+	est, err := build.Build(counts, build.Options{Method: build.EquiWidth, BudgetWords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := encodeEstimator(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// dirFiles reads every file of dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = buf
+	}
+	return files
+}
+
+// wantInboxRefused opens dir twice and checks that each open fails with
+// a *ShardInboxError for synopsis "h" and that no file changed.
+func wantInboxRefused(t *testing.T, dir string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	for k := 1; k <= 2; k++ {
+		db, _, err := Open(dir, Options{})
+		if err == nil {
+			closeT(t, db)
+		}
+		var inbox *ShardInboxError
+		if !errors.As(err, &inbox) || inbox.Name != "h" {
+			t.Fatalf("open %d: err = %v, want a *ShardInboxError for h", k, err)
+		}
+	}
+	if !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Fatal("a refused open modified the data directory")
+	}
+}
+
+func TestShardInboxRecordRefused(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openT(t, dir, Options{Domain: 32})
-	defer closeT(t, db)
-
-	shard, err := engine.New("shard", 32)
-	if err != nil {
+	if err := db.Insert(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := shard.Insert(4, 9); err != nil {
+	// A merge record without counts, as the inbox logged it.
+	if _, err := db.log.Append(recordWire{Kind: KindMerge, Name: "h", Blob: inboxBlob(t)}); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := shard.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LogShardMerge("h", syn.Est); err != nil {
+	if err := db.Insert(5, 2); err != nil {
 		t.Fatal(err)
 	}
 	closeT(t, db)
+	wantInboxRefused(t, dir)
+}
 
-	db2, rec := openT(t, dir, Options{})
-	if len(rec.Shards) != 1 || rec.Shards[0].Name != "h" {
-		t.Fatalf("recovered shards = %+v, want one for %q", rec.Shards, "h")
-	}
-	var got, want bytes.Buffer
-	if err := codec.Write(&got, rec.Shards[0].Est); err != nil {
+// TestShardInboxCheckpointRefused writes a newest checkpoint carrying a
+// shards section, as the inbox wrote it, next to an older clean one:
+// Open must refuse it rather than fall back, and so must a replica
+// decoding the same bytes.
+func TestShardInboxCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 32})
+	if err := db.Insert(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := codec.Write(&want, syn.Est); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("recovered shard estimator bytes differ")
+	if err := db.Insert(5, 2); err != nil {
+		t.Fatal(err)
 	}
+	applied, counts := db.Applied(), db.Engine().Counts()
+	closeT(t, db)
+	body, err := json.Marshal(map[string]any{
+		"name": "durable", "domain": 32, "applied": applied, "counts": counts,
+		"shards": []map[string]any{{"name": "h", "blob": inboxBlob(t)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpointBytes(dir, applied, body); err != nil {
+		t.Fatal(err)
+	}
+	wantInboxRefused(t, dir)
 
-	// A checkpoint must carry the inbox too (recovery without replay).
-	if err := db2.Checkpoint(); err != nil {
+	buf, err := os.ReadFile(filepath.Join(dir, checkpointName(applied)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	closeT(t, db2)
-	db3, rec3 := openT(t, dir, Options{})
-	if rec3.Replayed != 0 || len(rec3.Shards) != 1 {
-		t.Fatalf("post-checkpoint recovery = %+v, want shard from checkpoint alone", rec3)
-	}
-
-	// Dropping the synopsis purges the durable inbox.
-	if _, err := db3.DropSynopsis("h"); err != nil {
-		t.Fatal(err)
-	}
-	closeT(t, db3)
-	db4, rec4 := openT(t, dir, Options{})
-	defer closeT(t, db4)
-	if len(rec4.Shards) != 0 {
-		t.Fatalf("shards survived DropSynopsis: %+v", rec4.Shards)
+	ck, err := DecodeCheckpoint(bytes.NewReader(buf))
+	var inbox *ShardInboxError
+	if !errors.As(err, &inbox) || inbox.Name != "h" {
+		t.Fatalf("DecodeCheckpoint = %+v, %v; want a *ShardInboxError for h", ck, err)
 	}
 }
 
