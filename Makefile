@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint perfbench-test
+.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint loc perfbench-test
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,17 @@ cover:
 		rangeagg/internal/serve rangeagg/internal/oracle rangeagg/internal/codec \
 		rangeagg/internal/wal rangeagg/internal/obs rangeagg/internal/plan \
 		rangeagg/internal/segment rangeagg/internal/cluster \
-		rangeagg/internal/reopt rangeagg/internal/ingest
+		rangeagg/internal/reopt rangeagg/internal/ingest \
+		rangeagg/internal/engine rangeagg/internal/build
 
 lint:
 	$(GO) vet ./...
 	$(GO) run ./scripts/switchlint
+
+# Non-test Go lines outside perfbench: the size figure ROADMAP and
+# CHANGES.md track.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 # perfbench is its own Go module, so `go vet ./...` and `go test ./...`
 # at the root never compile it. Vet and test it with run.sh's offline

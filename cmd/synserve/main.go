@@ -12,7 +12,11 @@
 // With -data-dir the server is durable: every acknowledged mutation is
 // appended to a write-ahead log before the HTTP response, checkpoints
 // ride along with the debounced rebuilds, and a restart recovers the
-// exact pre-crash state (newest checkpoint plus replayed log tail).
+// exact pre-crash counts (newest checkpoint plus replayed log tail).
+// Checkpoints declare the served -syn specs without their estimators:
+// recovery builds nothing, and a restart builds each of its -syn specs
+// once, from the recovered counts. Repeating a -syn name is refused at
+// startup.
 //
 // With -follow the server is a replica: it pulls the named primary's
 // /checkpoint on an interval and installs it (synserve -domain 1024
@@ -125,9 +129,8 @@ func main() {
 	}
 	defer srv.Close()
 	if banner := buildBanner(); banner != "" {
-		// Per-method build histograms: the initial snapshot (and, when
-		// recovering, any synopses rebuilt from the checkpoint) has
-		// already fed them.
+		// Per-method build histograms: the initial snapshot, one build
+		// per -syn spec, has already fed them.
 		fmt.Fprintf(os.Stderr, "synserve: build timings: %s\n", banner)
 	}
 

@@ -96,10 +96,10 @@ func (e *Engine) markDirty(lo, hi int) {
 }
 
 // resetWindow starts (or stops) dirty tracking for a freshly installed
-// synopsis: rebuild-capable and incrementally-maintained synopses get a
-// clean window, others drop any stale one. Callers hold e.mu.
+// synopsis: rebuild-capable synopses get a clean window, others drop any
+// stale one. Callers hold e.mu.
 func (e *Engine) resetWindow(name string, opt build.Options) {
-	if build.CanRebuild(opt) || e.maint[name] != nil {
+	if build.CanRebuild(opt) {
 		e.windows[name] = &build.Window{}
 	} else {
 		delete(e.windows, name)

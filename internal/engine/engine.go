@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"rangeagg/internal/build"
-	"rangeagg/internal/ingest"
 	"rangeagg/internal/method"
 	"rangeagg/internal/obs"
 	"rangeagg/internal/parallel"
@@ -73,13 +72,10 @@ type Engine struct {
 	approxCutover int
 
 	synopses map[string]*Synopsis
-	// windows tracks the mutated value window per rebuild-capable or
-	// maintained synopsis; watches are the consumers' windows (Watch).
+	// windows tracks the mutated value window per rebuild-capable
+	// synopsis; watches are the consumers' windows (Watch).
 	windows map[string]*build.Window
 	watches map[*Watch]struct{}
-	// maint holds the incremental-maintenance state of synopses opted in
-	// through EnableIngest, keyed like synopses/windows.
-	maint map[string]*ingest.State
 }
 
 // Synopsis is a built summary registered under a name.
@@ -112,7 +108,6 @@ func New(name string, domain int) (*Engine, error) {
 		synopses: make(map[string]*Synopsis),
 		windows:  make(map[string]*build.Window),
 		watches:  make(map[*Watch]struct{}),
-		maint:    make(map[string]*ingest.State),
 	}, nil
 }
 
@@ -339,8 +334,8 @@ func clamp(a, b, domain int) (int, int, bool) {
 // replacing any previous one with that name. When the previous synopsis
 // under the name has the same spec, the mutations since it was built
 // decide how much work the refresh does (build.Refresh): none when
-// nothing changed, incremental maintenance or a dirty-segment rebuild
-// when they are confined to a value window, a full build otherwise.
+// nothing changed, a dirty-segment rebuild when they are confined to a
+// value window, a full build otherwise.
 // Domains at or above the approx cutover construct full builds through
 // the method's (1+ε)-approximate counterpart while the registered
 // options stay as given.
@@ -350,10 +345,9 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 	version := e.version
 	cutover := e.approxCutover
 	old := e.synopses[name]
-	st := e.maint[name]
 	var prev *build.Prev
 	var win build.Window
-	if !build.CanRebuild(opt) && st == nil {
+	if !build.CanRebuild(opt) {
 		delete(e.windows, name)
 	} else {
 		// The window must exist before the unlocked build so concurrent
@@ -374,7 +368,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 	}
 	e.mu.Unlock()
 
-	est, step, err := build.Refresh(counts, version, opt, prev, win, st, cutover)
+	est, step, err := build.Refresh(counts, version, opt, prev, win, nil, cutover)
 	if err == nil && step.Rung == build.Reuse {
 		return old, nil
 	}
@@ -553,7 +547,6 @@ func (e *Engine) DropSynopsis(name string) bool {
 	_, ok := e.synopses[name]
 	delete(e.synopses, name)
 	delete(e.windows, name)
-	delete(e.maint, name)
 	return ok
 }
 
@@ -630,7 +623,6 @@ func (e *Engine) Approx(name string, a, b int) (float64, error) {
 	if !ok {
 		return 0, nil
 	}
-	e.observeQuery(name, a, b)
 	return s.Est.Estimate(a, b), nil
 }
 
@@ -656,7 +648,6 @@ func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 	if !ok {
 		return ApproxAnswer{Value: 0, ErrBound: 0, Rigorous: true}, nil
 	}
-	e.observeQuery(name, a, b)
 	ans := ApproxAnswer{Value: s.Est.Estimate(a, b), ErrBound: math.Inf(1)}
 	if s.ErrModel != nil {
 		ans.ErrBound = s.ErrModel.Bound(a, b)
@@ -676,16 +667,12 @@ func (e *Engine) ApproxBatch(name string, queries []sse.Range) ([]float64, error
 		return nil, err
 	}
 	est, domain := s.Est, e.domain
-	maintained := e.maintState(name)
 	out := make([]float64, len(queries))
 	parallel.ForEachChunk(len(queries), 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a, b, ok := clamp(queries[i].A, queries[i].B, domain)
 			if !ok {
 				continue
-			}
-			if maintained != nil {
-				maintained.Observe(a, b)
 			}
 			out[i] = est.Estimate(a, b)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rangeagg/internal/engine"
 	"rangeagg/internal/wal"
 )
 
@@ -107,11 +106,13 @@ func (s *Server) Health() HealthStatus {
 
 // InstallCheckpoint replaces the node's data with a primary's decoded
 // checkpoint and synchronously publishes a snapshot of it — the replica
-// side of snapshot replication. With adoptSpecs, synopsis specs the
-// checkpoint carries that this node lacks are registered first, so a
-// bare replica converges on the primary's full serving shape. Durable
-// nodes refuse the install: their write-ahead log is the authority on
-// their data, and replacing state behind it would diverge recovery.
+// side of snapshot replication. With adoptSpecs, the specs the
+// checkpoint declares under names this node lacks are added to the
+// published ones, so a bare replica converges on the primary's full
+// serving shape; they are registered only if the publish succeeds.
+// Durable nodes refuse the install: their write-ahead log is the
+// authority on their data, and replacing state behind it would diverge
+// recovery.
 func (s *Server) InstallCheckpoint(ck *wal.CheckpointData, adoptSpecs bool) error {
 	if s.cfg.WAL != nil {
 		return fmt.Errorf("serve: refusing checkpoint install on a durable node (the WAL owns its data)")
@@ -119,24 +120,18 @@ func (s *Server) InstallCheckpoint(ck *wal.CheckpointData, adoptSpecs bool) erro
 	if ck.Domain != s.eng.Domain() {
 		return fmt.Errorf("serve: checkpoint spans domain %d, node serves %d", ck.Domain, s.eng.Domain())
 	}
+	s.rebuildMu.Lock()
+	defer s.rebuildMu.Unlock()
+	specs := s.snap.Load().specs()
 	if adoptSpecs {
-		s.specMu.Lock()
 		for _, sp := range ck.Specs {
-			known := false
-			for _, have := range s.specs {
-				if have.Name == sp.Name {
-					known = true
-					break
-				}
-			}
-			if !known {
-				s.specs = append(s.specs, engine.SynopsisSpec{Name: sp.Name, Metric: sp.Metric, Options: sp.Options})
+			if specIndex(specs, sp.Name) < 0 {
+				specs = append(specs, sp)
 			}
 		}
-		s.specMu.Unlock()
 	}
 	if err := s.eng.Replace(ck.Counts); err != nil {
 		return err
 	}
-	return s.Rebuild()
+	return s.rebuild(specs)
 }

@@ -93,12 +93,13 @@ type Server struct {
 	// path meeting each one's error bound.
 	planner *plan.Planner
 
+	// snap is the published snapshot, which is also the node's synopsis
+	// registry: its specs are what the next rebuild refreshes.
 	snap atomic.Pointer[Snapshot]
 
-	// rebuildMu serializes snapshot construction; queries never take it.
+	// rebuildMu serializes snapshot construction and every change to the
+	// spec list; queries never take it.
 	rebuildMu sync.Mutex
-	specMu    sync.RWMutex
-	specs     []engine.SynopsisSpec
 
 	// watch is the mutation window the engine keeps for this server:
 	// Rebuild captures it with the counts, and its dirty-since time is
@@ -110,12 +111,6 @@ type Server struct {
 	// follow is the replication state a Follower reports (nil when this
 	// node follows no primary).
 	follow atomic.Pointer[FollowState]
-
-	// ingMu guards ingStates, the per-synopsis maintenance state created
-	// lazily by Rebuild once a spec has a maintainable previous synopsis
-	// (Config.Ingest incremental).
-	ingMu     sync.RWMutex
-	ingStates map[string]*ingest.State
 
 	rebuilds atomic.Int64
 	lastErr  atomic.Pointer[rebuildError]
@@ -158,26 +153,39 @@ type Result struct {
 
 // New builds the initial snapshot synchronously (so a successfully
 // constructed Server always serves) and starts the rebuild debouncer.
-// Callers must Close the server to stop it.
+// Spec names must be unique. Callers must Close the server to stop it.
 func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, error) {
+	for i, sp := range specs {
+		if specIndex(specs[:i], sp.Name) >= 0 {
+			return nil, fmt.Errorf("serve: synopsis %q registered twice", sp.Name)
+		}
+	}
 	s := &Server{
-		eng:       eng,
-		watch:     eng.Watch(),
-		cfg:       cfg.withDefaults(),
-		specs:     append([]engine.SynopsisSpec(nil), specs...),
-		ingStates: make(map[string]*ingest.State),
-		dirty:     make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		eng:   eng,
+		watch: eng.Watch(),
+		cfg:   cfg.withDefaults(),
+		dirty: make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	s.planner = plan.New(0)
-	if err := s.Rebuild(); err != nil {
+	if err := s.rebuild(specs); err != nil {
 		s.watch.Close()
 		return nil, err
 	}
 	s.declareSpecs()
 	go s.debounceLoop()
 	return s, nil
+}
+
+// specIndex returns the position of the spec named name, or -1.
+func specIndex(specs []engine.SynopsisSpec, name string) int {
+	for i, sp := range specs {
+		if sp.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Close stops the debouncer and unregisters the server's mutation
@@ -266,103 +274,44 @@ func (s *Server) signalDirty() {
 }
 
 // AddSynopsis registers a synopsis spec and publishes a snapshot that
-// includes it.
+// includes it. A spec whose build fails is not registered.
 func (s *Server) AddSynopsis(spec engine.SynopsisSpec) error {
-	s.specMu.Lock()
-	for _, sp := range s.specs {
-		if sp.Name == spec.Name {
-			s.specMu.Unlock()
-			return fmt.Errorf("serve: synopsis %q already registered", spec.Name)
-		}
+	s.rebuildMu.Lock()
+	defer s.rebuildMu.Unlock()
+	specs := s.snap.Load().specs()
+	if specIndex(specs, spec.Name) >= 0 {
+		return fmt.Errorf("serve: synopsis %q already registered", spec.Name)
 	}
-	s.specs = append(s.specs, spec)
-	s.specMu.Unlock()
-	err := s.Rebuild()
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
-	if err != nil {
-		// Roll the bad spec back so later rebuilds keep succeeding.
-		for i, sp := range s.specs {
-			if sp.Name == spec.Name {
-				s.specs = append(s.specs[:i], s.specs[i+1:]...)
-				break
-			}
-		}
+	if err := s.rebuild(append(specs, spec)); err != nil {
 		return err
 	}
 	s.declareSpecs()
 	return nil
 }
 
-// DropSynopsis removes a synopsis spec and publishes a snapshot without
-// it, reporting whether it existed.
+// DropSynopsis republishes the current snapshot without the named
+// synopsis, reporting whether it existed. It builds nothing.
 func (s *Server) DropSynopsis(name string) bool {
-	s.specMu.Lock()
-	found := false
-	for i, sp := range s.specs {
-		if sp.Name == name {
-			s.specs = append(s.specs[:i], s.specs[i+1:]...)
-			s.declareSpecs()
-			found = true
-			break
-		}
+	s.rebuildMu.Lock()
+	defer s.rebuildMu.Unlock()
+	cur := s.snap.Load()
+	i := specIndex(cur.specs(), name)
+	if i < 0 {
+		return false
 	}
-	s.specMu.Unlock()
-	if found {
-		s.ingMu.Lock()
-		delete(s.ingStates, name)
-		s.ingMu.Unlock()
-		if s.cfg.WAL != nil {
-			// Drop the engine copy that recovery restored from a
-			// checkpoint, so later checkpoints stop carrying it.
-			_, _ = s.cfg.WAL.DropSynopsis(name)
-		}
-		// Dropping a spec cannot fail construction of the others.
-		_ = s.Rebuild()
-	}
-	return found
+	next := *cur
+	next.syns = append(append([]*Synopsis(nil), cur.syns[:i]...), cur.syns[i+1:]...)
+	s.publish(&next)
+	s.declareSpecs()
+	return true
 }
 
 // declareSpecs hands the WAL the specs this server serves, so that every
 // checkpoint declares them to replicas and to recovery. Callers hold
-// specMu or own the server exclusively.
+// rebuildMu or own the server exclusively.
 func (s *Server) declareSpecs() {
 	if s.cfg.WAL != nil {
-		s.cfg.WAL.SetDeclaredSpecs(s.specs)
-	}
-}
-
-// ingestState returns — creating on first use — the maintenance state
-// of a synopsis. Creation only happens in Rebuild (serialized by
-// rebuildMu), so concurrent readers almost always stay on the RLock.
-func (s *Server) ingestState(name string) *ingest.State {
-	s.ingMu.RLock()
-	st := s.ingStates[name]
-	s.ingMu.RUnlock()
-	if st != nil {
-		return st
-	}
-	s.ingMu.Lock()
-	if st = s.ingStates[name]; st == nil {
-		st = ingest.NewState(s.cfg.Ingest)
-		s.ingStates[name] = st
-	}
-	s.ingMu.Unlock()
-	return st
-}
-
-// observeQuery feeds an answered range into a maintained synopsis's
-// drift trigger (sampled; no-op unless incremental ingest is on and a
-// rebuild has created the synopsis's maintenance state).
-func (s *Server) observeQuery(name string, a, b int) {
-	if !s.cfg.Ingest.Enabled() {
-		return
-	}
-	s.ingMu.RLock()
-	st := s.ingStates[name]
-	s.ingMu.RUnlock()
-	if st != nil {
-		st.Observe(a, b)
+		s.cfg.WAL.SetDeclaredSpecs(s.snap.Load().specs())
 	}
 }
 
@@ -391,14 +340,17 @@ func (s *Server) answer(snap *Snapshot, q Query, t *plan.Tally) Result {
 	}
 	metric := q.Metric
 	if q.Synopsis != "" {
-		syn, ok := snap.syns[q.Synopsis]
-		if !ok {
-			return Result{Err: &engine.UnknownSynopsisError{Scope: "serve", Name: q.Synopsis}}
+		syn, err := snap.Synopsis(q.Synopsis)
+		if err != nil {
+			return Result{Err: err}
 		}
 		// A pinned synopsis answers its own metric, whatever the query
 		// says (matching the pre-planner Approx semantics).
 		metric = syn.Metric
-		s.observeQuery(q.Synopsis, q.A, q.B)
+		if syn.ingest != nil {
+			// Feed the drift trigger (sampled) of a maintained synopsis.
+			syn.ingest.Observe(q.A, q.B)
+		}
 	}
 	maxErr := math.NaN() // planner convention: NaN = no budget
 	if q.MaxErr != nil {
@@ -458,15 +410,18 @@ func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 // a full build — the last through the method's (1+ε)-approximate
 // counterpart on domains at or above the engine's approx cutover.
 func (s *Server) Rebuild() error {
+	s.rebuildMu.Lock()
+	defer s.rebuildMu.Unlock()
+	return s.rebuild(s.snap.Load().specs())
+}
+
+// rebuild is Rebuild over the given spec list, which the published
+// snapshot registers only when the build succeeds. Callers hold
+// rebuildMu or own the server exclusively.
+func (s *Server) rebuild(specs []engine.SynopsisSpec) error {
 	_, span := obs.Start(context.Background(), "serve.rebuild")
 	span.OnEnd(rebuildSeconds.Observe)
 	defer span.End()
-	s.rebuildMu.Lock()
-	defer s.rebuildMu.Unlock()
-
-	s.specMu.RLock()
-	specs := append([]engine.SynopsisSpec(nil), s.specs...)
-	s.specMu.RUnlock()
 	span.SetAttrInt("specs", int64(len(specs)))
 
 	// One locked read of the engine takes the counts, their version, the
@@ -492,10 +447,8 @@ func (s *Server) Rebuild() error {
 		Version: version,
 		Domain:  len(counts),
 		Records: records,
-		syns:    make(map[string]*Synopsis, len(specs)),
+		syns:    make([]*Synopsis, len(specs)),
 	}
-	ests := make([]build.Estimator, len(specs))
-	ems := make([]method.ErrorModel, len(specs))
 	errs := make([]error, len(specs))
 	steps := make([]build.Step, len(specs))
 	prevSyns := make([]*Synopsis, len(specs))
@@ -505,15 +458,15 @@ func (s *Server) Rebuild() error {
 	}
 	for i := range specs {
 		i, sp := i, specs[i]
+		syn := &Synopsis{SynopsisSpec: sp}
+		snap.syns[i] = syn
 		var from *build.Prev
-		var st *ingest.State
-		if prev != nil {
-			if p := prev.syns[sp.Name]; p != nil && p.Metric == sp.Metric && p.Options == sp.Options {
-				prevSyns[i] = p
-				from = &build.Prev{Est: p.Est, Version: prev.Version}
-				if s.cfg.Ingest.Enabled() && ingest.CanMaintain(p.Est) {
-					st = s.ingestState(sp.Name)
-				}
+		if p := prev.find(sp.Name); p != nil && p.SynopsisSpec == sp {
+			prevSyns[i] = p
+			from = &build.Prev{Est: p.Est, Version: prev.Version}
+			syn.ingest = p.ingest
+			if syn.ingest == nil && s.cfg.Ingest.Enabled() && ingest.CanMaintain(p.Est) {
+				syn.ingest = ingest.NewState(s.cfg.Ingest)
 			}
 		}
 		series := counts
@@ -521,7 +474,7 @@ func (s *Server) Rebuild() error {
 			series = sums
 		}
 		tasks = append(tasks, func() {
-			ests[i], steps[i], errs[i] = build.Refresh(series, version, sp.Options, from, c.Window, st, c.Cutover)
+			syn.Est, steps[i], errs[i] = build.Refresh(series, version, sp.Options, from, c.Window, syn.ingest, c.Cutover)
 		})
 	}
 	parallel.Do(tasks...)
@@ -534,37 +487,40 @@ func (s *Server) Rebuild() error {
 	// tables. Reused synopses carry theirs over. A model failure just
 	// leaves that synopsis serving unbounded.
 	var mtasks []func()
-	for i, sp := range specs {
+	for i, syn := range snap.syns {
 		if steps[i].Rung == build.Reuse {
-			ems[i] = prevSyns[i].ErrModel
+			syn.ErrModel = prevSyns[i].ErrModel
 			continue
 		}
-		d, err := method.Lookup(sp.Options.Method)
+		d, err := method.Lookup(syn.Options.Method)
 		if err != nil || !d.Caps.Has(method.ErrorBounded) {
 			continue
 		}
 		tab := snap.count
-		if sp.Metric == engine.Sum {
+		if syn.Metric == engine.Sum {
 			tab = snap.sum
 		}
-		i, d, tab := i, d, tab
-		mtasks = append(mtasks, func() { ems[i], _ = d.ErrorBound(tab, ests[i]) })
+		syn, d, tab := syn, d, tab
+		mtasks = append(mtasks, func() { syn.ErrModel, _ = d.ErrorBound(tab, syn.Est) })
 	}
 	if len(mtasks) > 0 {
 		parallel.Do(mtasks...)
 	}
-	for i, sp := range specs {
-		snap.syns[sp.Name] = &Synopsis{Name: sp.Name, Metric: sp.Metric, Options: sp.Options, Est: ests[i], ErrModel: ems[i]}
-	}
+	s.publish(snap)
+	s.lastErr.Store(&rebuildError{})
+	span.SetAttrInt("version", snap.Version)
+	return nil
+}
+
+// publish swaps snap in as the served snapshot. Callers hold rebuildMu
+// or own the server exclusively.
+func (s *Server) publish(snap *Snapshot) {
 	snap.epoch = s.rebuilds.Add(1)
 	snap.buildViews()
 	s.snap.Store(snap)
 	s.swappedAt.Store(time.Now().UnixNano())
-	s.lastErr.Store(&rebuildError{})
 	snapshotSwaps.Inc()
 	snapshotVersion.Set(snap.Version)
-	span.SetAttrInt("version", snap.Version)
-	return nil
 }
 
 // debounceLoop turns mutation signals into background rebuilds: it waits

@@ -9,6 +9,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/obs"
 	"rangeagg/internal/wal"
 )
 
@@ -254,6 +255,138 @@ func TestNewRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := New(eng, []engine.SynopsisSpec{{Name: "bad", Options: build.Options{Method: build.VOptimal}}}, Config{}); err == nil {
 		t.Fatal("invalid initial spec accepted")
+	}
+}
+
+// TestNewRejectsDuplicateName pins that two specs under one name are
+// refused at startup: the served synopsis and the one the checkpoint
+// declares could otherwise differ.
+func TestNewRejectsDuplicateName(t *testing.T) {
+	eng, err := engine.New("test", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []engine.SynopsisSpec{
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 8}},
+		{Name: "h", Metric: engine.Sum, Options: build.Options{Method: build.SAP0, BudgetWords: 8}},
+	}
+	if s, err := New(eng, specs, Config{}); err == nil {
+		s.Close()
+		t.Fatal("two specs named h accepted")
+	}
+}
+
+// builds counts the synopsis builds this process has run
+// (rangeagg_build_seconds observations).
+func builds() int64 {
+	var n int64
+	obs.Default.EachHistogram("rangeagg_build_seconds", func(_ string, _ []obs.Label, h obs.HistSnapshot) {
+		n += h.Count
+	})
+	return n
+}
+
+// TestRestartBuildsEachSpecOnce pins the one registry of a durable node:
+// a restart runs no build in wal.Open and exactly one per spec in
+// New, and the engine holds no copy of a served synopsis. That holds
+// too when the data directory starts from a checkpoint that carries the
+// served names as engine synopses with blobs, as older releases wrote
+// it. A dropped spec then leaves the next checkpoint.
+func TestRestartBuildsEachSpecOnce(t *testing.T) {
+	specs := testSpecs()
+	for _, legacy := range []bool{false, true} {
+		name := "declared"
+		if legacy {
+			name = "engine copies"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, _, err := wal.Open(dir, wal.Options{Domain: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Insert(7, 3); err != nil {
+				t.Fatal(err)
+			}
+			if legacy {
+				for _, sp := range specs {
+					if _, err := db.BuildSynopsis(sp.Name, sp.Metric, sp.Options); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				s, err := New(db.Engine(), specs, Config{WAL: db, Debounce: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			open := func(k int) (*wal.DB, *Server) {
+				t.Helper()
+				before := builds()
+				db, _, err := wal.Open(dir, wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := builds() - before; n != 0 {
+					t.Fatalf("reopen %d: wal.Open ran %d builds, want 0", k, n)
+				}
+				before = builds()
+				s, err := New(db.Engine(), specs, Config{WAL: db, Debounce: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := builds() - before; n != int64(len(specs)) {
+					t.Fatalf("reopen %d: New ran %d builds, want %d", k, n, len(specs))
+				}
+				if syns := db.Engine().Synopses(); len(syns) != 0 {
+					t.Fatalf("reopen %d: the engine still holds %d synopses", k, len(syns))
+				}
+				return db, s
+			}
+			for k := 1; k <= 2; k++ {
+				db, s := open(k)
+				if err := s.Insert(k, 5); err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			db, s := open(3)
+			defer db.Close()
+			defer s.Close()
+			if !s.DropSynopsis("h") {
+				t.Fatal("DropSynopsis(h) = false")
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			rc, _, _, err := db.OpenNewestCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			ck, err := wal.DecodeCheckpoint(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ck.Specs) != 1 || ck.Specs[0] != specs[1] {
+				t.Fatalf("checkpoint after dropping h declares %+v, want only s", ck.Specs)
+			}
+		})
 	}
 }
 

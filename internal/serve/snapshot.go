@@ -5,31 +5,36 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/ingest"
 	"rangeagg/internal/method"
 	"rangeagg/internal/plan"
 	"rangeagg/internal/prefix"
 )
 
-// Synopsis is one published estimator inside a snapshot.
+// Synopsis is one published estimator inside a snapshot, together with
+// the spec it was built from.
 type Synopsis struct {
-	// Name is the registration name.
-	Name string
-	// Metric the synopsis answers.
-	Metric engine.Metric
-	// Options used to build it.
-	Options build.Options
+	engine.SynopsisSpec
 	// Est is the immutable estimator.
 	Est build.Estimator
 	// ErrModel is the per-range error model built against the snapshot's
 	// data, or nil when the method has none (WAVE-AA2D).
 	ErrModel method.ErrorModel
+
+	// ingest is the synopsis's maintenance state (Config.Ingest
+	// incremental): created by the first publish that refreshes a
+	// maintainable estimator, then handed forward to the next snapshot's
+	// synopsis of the same spec. Pinned queries feed its drift trigger.
+	ingest *ingest.State
 }
 
 // Snapshot is one immutable, internally consistent view of a column: the
 // exact prefix tables and every published synopsis, all derived from the
 // same data version. Queries read a snapshot through an atomic pointer and
 // never see state from two versions at once; rebuilds construct a fresh
-// snapshot off the hot path and swap it in whole.
+// snapshot off the hot path and swap it in whole. The published snapshot
+// is also the node's synopsis registry: its synopses, in registration
+// order, are the specs the next rebuild refreshes.
 type Snapshot struct {
 	// Version is the engine data version the snapshot was built from.
 	Version int64
@@ -40,7 +45,7 @@ type Snapshot struct {
 
 	count *prefix.Table // exact COUNT path
 	sum   *prefix.Table // exact SUM path
-	syns  map[string]*Synopsis
+	syns  []*Synopsis   // in registration order
 
 	// epoch is the publish sequence number /healthz reports. It is NOT
 	// Version: spec changes and forced rebuilds publish new snapshots
@@ -72,12 +77,12 @@ func (s *Snapshot) exact(m engine.Metric, a, b int) int64 {
 // Approx answers a range aggregate from a named synopsis in the snapshot;
 // the range is clamped to the domain.
 func (s *Snapshot) Approx(name string, a, b int) (float64, error) {
-	syn, ok := s.syns[name]
-	if !ok {
-		return 0, &engine.UnknownSynopsisError{Scope: "serve", Name: name}
+	syn, err := s.Synopsis(name)
+	if err != nil {
+		return 0, err
 	}
-	a, b, ok2 := clamp(a, b, s.Domain)
-	if !ok2 {
+	a, b, ok := clamp(a, b, s.Domain)
+	if !ok {
 		return 0, nil
 	}
 	return syn.Est.Estimate(a, b), nil
@@ -85,11 +90,33 @@ func (s *Snapshot) Approx(name string, a, b int) (float64, error) {
 
 // Synopsis returns a published synopsis by name.
 func (s *Snapshot) Synopsis(name string) (*Synopsis, error) {
-	syn, ok := s.syns[name]
-	if !ok {
-		return nil, &engine.UnknownSynopsisError{Scope: "serve", Name: name}
+	if syn := s.find(name); syn != nil {
+		return syn, nil
 	}
-	return syn, nil
+	return nil, &engine.UnknownSynopsisError{Scope: "serve", Name: name}
+}
+
+// find returns the published synopsis named name, or nil (also on the
+// nil snapshot a server has before its first publish).
+func (s *Snapshot) find(name string) *Synopsis {
+	if s == nil {
+		return nil
+	}
+	for _, syn := range s.syns {
+		if syn.Name == name {
+			return syn
+		}
+	}
+	return nil
+}
+
+// specs lists the published synopses' specs in registration order.
+func (s *Snapshot) specs() []engine.SynopsisSpec {
+	out := make([]engine.SynopsisSpec, len(s.syns))
+	for i, syn := range s.syns {
+		out[i] = syn.SynopsisSpec
+	}
+	return out
 }
 
 // View returns the planner's picture of one metric at this snapshot:
@@ -99,8 +126,8 @@ func (s *Snapshot) View(m engine.Metric) *plan.View {
 	return s.views[m]
 }
 
-// buildViews derives the per-metric planner views; called once by
-// Rebuild after the prefix tables and synopses are in place.
+// buildViews derives the per-metric planner views; called once per
+// publish, after the prefix tables and synopses are in place.
 func (s *Snapshot) buildViews() {
 	for _, m := range [2]engine.Metric{engine.Count, engine.Sum} {
 		tab := s.count
@@ -135,9 +162,9 @@ func (s *Snapshot) buildViews() {
 
 // Names lists the published synopsis names, sorted.
 func (s *Snapshot) Names() []string {
-	out := make([]string, 0, len(s.syns))
-	for n := range s.syns {
-		out = append(out, n)
+	out := make([]string, len(s.syns))
+	for i, syn := range s.syns {
+		out[i] = syn.Name
 	}
 	sort.Strings(out)
 	return out

@@ -20,8 +20,8 @@ import (
 const ckptMagic = "RAGGCKP1"
 
 // checkpointWire is the JSON body of a checkpoint file: the exact counts
-// at the applied index plus every built synopsis (serializable ones as
-// their codec envelope bytes, the rest as rebuild-from-counts specs).
+// at the applied index plus every engine synopsis as its codec envelope
+// bytes and every declared serving spec without a blob.
 type checkpointWire struct {
 	Name     string         `json:"name"`
 	Domain   int            `json:"domain"`
@@ -36,11 +36,10 @@ type checkpointWire struct {
 	} `json:"shards,omitempty"`
 }
 
-// ckptSynopsis persists one engine-registered synopsis. Blob is the
-// codec envelope of the built estimator; when nil (a non-serializable
-// family) recovery rebuilds from the checkpoint counts instead, which
-// loses only the staleness the estimator had accumulated before the
-// checkpoint.
+// ckptSynopsis persists one synopsis. Blob is the codec envelope of an
+// engine synopsis's estimator; it is nil exactly when the entry is a
+// declared serving spec (DB.SetDeclaredSpecs), which recovery keeps
+// declared without building it.
 type ckptSynopsis struct {
 	Name    string        `json:"name"`
 	Metric  int           `json:"metric"`

@@ -14,7 +14,6 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
-	"rangeagg/internal/method"
 	"rangeagg/internal/obs"
 )
 
@@ -37,7 +36,11 @@ type Options struct {
 	// accumulate past the last checkpoint (default 4096).
 	CheckpointEvery int64
 	// KeepCheckpoints retains this many newest checkpoint files
-	// (default 2) so single-file damage can fall back one generation.
+	// (default 2). Recovery falls back from a damaged newest checkpoint
+	// to an older one only while the log still reaches back to it, as
+	// after a crash between a checkpoint's rename and its log
+	// truncation; once the newer checkpoint truncated the log, the
+	// fallback would lose the records in between, so Open refuses.
 	KeepCheckpoints int
 }
 
@@ -117,7 +120,7 @@ type DB struct {
 	mu       sync.Mutex
 	eng      *engine.Engine
 	log      *Log
-	declared []engine.SynopsisSpec // serving-layer specs to carry in checkpoints
+	declared []engine.SynopsisSpec // serving-layer specs to carry in checkpoints: recovered, then SetDeclaredSpecs
 
 	// ckptMu serializes checkpoint writes against each other.
 	ckptMu sync.Mutex
@@ -167,7 +170,7 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	}
 	rec.Checkpoint = ckpt.Applied
 
-	if d.eng, err = restoreCheckpoint(ckpt); err != nil {
+	if err := d.restoreCheckpoint(ckpt); err != nil {
 		return nil, nil, err
 	}
 
@@ -194,41 +197,48 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 	return d, rec, nil
 }
 
-// restoreCheckpoint rebuilds the engine a checkpoint describes: counts
-// are loaded, serialized synopses are decoded and installed verbatim
-// (bit-identical to the pre-crash estimators), and spec-only synopses
-// are rebuilt from the checkpoint counts.
-func restoreCheckpoint(ckpt checkpointWire) (*engine.Engine, error) {
+// restoreCheckpoint sets up the engine a checkpoint describes: counts
+// are loaded, and engine synopses are decoded from their blobs and
+// installed verbatim (bit-identical to the pre-crash estimators). A
+// spec-only entry is a serving layer's declared spec: recovery builds
+// nothing for it, and it stays declared, riding into later checkpoints
+// until the serving layer declares its own.
+func (d *DB) restoreCheckpoint(ckpt checkpointWire) error {
 	eng, err := engine.New(ckpt.Name, ckpt.Domain)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := eng.Load(ckpt.Counts); err != nil {
-		return nil, fmt.Errorf("wal: restoring counts: %w", err)
+		return fmt.Errorf("wal: restoring counts: %w", err)
 	}
+	d.eng = eng
 	for _, cs := range ckpt.Synopses {
 		if cs.Blob == nil {
-			if _, err := eng.BuildSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options); err != nil {
-				return nil, fmt.Errorf("wal: rebuilding synopsis %q: %w", cs.Name, err)
-			}
+			d.declared = append(d.declared, engine.SynopsisSpec{Name: cs.Name, Metric: engine.Metric(cs.Metric), Options: cs.Options})
 			continue
 		}
 		est, err := codec.Read(bytes.NewReader(cs.Blob))
 		if err != nil {
-			return nil, fmt.Errorf("wal: decoding synopsis %q: %w", cs.Name, err)
+			return fmt.Errorf("wal: decoding synopsis %q: %w", cs.Name, err)
 		}
 		if est.N() != ckpt.Domain {
-			return nil, fmt.Errorf("wal: synopsis %q spans domain %d, checkpoint holds %d", cs.Name, est.N(), ckpt.Domain)
+			return fmt.Errorf("wal: synopsis %q spans domain %d, checkpoint holds %d", cs.Name, est.N(), ckpt.Domain)
 		}
 		eng.InstallSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options, est)
 	}
-	return eng, nil
+	return nil
 }
 
 // replay applies the log tail past the checkpoint. It returns where the
 // log continues: the next record index and, when the last segment's
 // valid prefix ends exactly there, that segment as the active one to
-// keep appending into (already truncated to its valid bytes).
+// keep appending into (already truncated to its valid bytes). A segment
+// that begins past the next index is a gap: the records in between are
+// lost (a fallback to an older checkpoint after the newer one truncated
+// the log, or outside damage, since a rotation syncs the old segment
+// before it creates the next). replay then fails before any file is
+// modified, rather than recover a state that drops acknowledged
+// records.
 func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath string, activeBase, activeCount uint64, activeEnd int64, err error) {
 	segs, err := listSegments(d.dir)
 	if err != nil {
@@ -267,13 +277,8 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 			activePath, activeBase, activeCount, activeEnd = s.path, base, uint64(len(payloads)), validEnd
 			continue
 		case base > nextIndex:
-			// A gap: records are missing, everything here is unreachable.
-			stopped = true
-			rec.Torn = true
-			if err := os.Remove(s.path); err != nil {
-				return 0, "", 0, 0, 0, fmt.Errorf("wal: removing unreachable segment: %w", err)
-			}
-			continue
+			// Files change only past a tear, so none has been modified.
+			return 0, "", 0, 0, 0, fmt.Errorf("wal: segment %s begins at record %d, but record %d is missing from the log; refusing to recover past the gap", s.path, base, nextIndex)
 		}
 		for i, payload := range payloads {
 			idx := base + uint64(i)
@@ -461,12 +466,13 @@ func encodeEstimator(est build.Estimator) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Checkpoint captures the engine's exact state — counts plus every built
-// synopsis, serializable ones as their codec wire bytes — writes it as
-// an atomically-renamed checkpoint file, and truncates the superseded
-// log segments. Mutations are blocked only while the state is captured
-// and the log rotated; serialization and file I/O run outside the
-// mutation mutex.
+// Checkpoint captures the engine's exact state — counts plus every
+// engine synopsis as its codec wire bytes (every registered method is
+// serializable) — and the declared specs as spec-only entries, writes
+// it as an atomically-renamed checkpoint file, and truncates the
+// superseded log segments. Mutations are blocked only while the state
+// is captured and the log rotated; serialization and file I/O run
+// outside the mutation mutex.
 func (d *DB) Checkpoint() error {
 	_, span := obs.Start(context.Background(), "wal.checkpoint")
 	span.OnEnd(walCheckpointSeconds.Observe)
@@ -489,30 +495,17 @@ func (d *DB) Checkpoint() error {
 	span.SetAttrInt("synopses", int64(len(syns)))
 	wire := checkpointWire{Name: d.eng.Name(), Domain: d.eng.Domain(), Applied: applied, Counts: counts}
 	for _, s := range syns {
-		cs := ckptSynopsis{Name: s.Name, Metric: int(s.Metric), Options: s.Options}
-		if dsc, err := method.Lookup(s.Options.Method); err == nil && dsc.Caps.Has(method.Serializable) {
-			blob, err := encodeEstimator(s.Est)
-			if err != nil {
-				return fmt.Errorf("wal: checkpointing synopsis %q: %w", s.Name, err)
-			}
-			cs.Blob = blob
+		blob, err := encodeEstimator(s.Est)
+		if err != nil {
+			return fmt.Errorf("wal: checkpointing synopsis %q: %w", s.Name, err)
 		}
-		wire.Synopses = append(wire.Synopses, cs)
+		wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: s.Name, Metric: int(s.Metric), Options: s.Options, Blob: blob})
 	}
-	// Declared serving-layer specs ride along as spec-only entries (no
-	// blob); recovery — and a replica installing this checkpoint —
-	// rebuilds them from the checkpoint counts.
+	// Declared specs ride along without a blob: recovery carries them as
+	// declared, and a replica installing this checkpoint builds them from
+	// its counts.
 	for _, sp := range declared {
-		dup := false
-		for _, cs := range wire.Synopses {
-			if cs.Name == sp.Name {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: sp.Name, Metric: int(sp.Metric), Options: sp.Options})
-		}
+		wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: sp.Name, Metric: int(sp.Metric), Options: sp.Options})
 	}
 	if err := writeCheckpoint(d.dir, wire); err != nil {
 		return err

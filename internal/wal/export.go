@@ -98,11 +98,17 @@ func (d *DB) Applied() uint64 {
 
 // SetDeclaredSpecs records the serving layer's synopsis specs so
 // checkpoints carry them as spec-only entries (name, metric, options —
-// no estimator blob). Recovery and replicas installing the checkpoint
-// rebuild these synopses from the checkpoint counts, so a bare replica
-// converges on its primary's serving shape without local -syn flags.
+// no estimator blob). Recovery builds nothing for them and keeps them
+// declared; a replica installing the checkpoint builds them from its
+// counts, so a bare replica converges on its primary's serving shape
+// without local -syn flags. Declaring a name drops the engine synopsis
+// of that name (a copy an older checkpoint restored), so each name
+// appears once per checkpoint.
 func (d *DB) SetDeclaredSpecs(specs []engine.SynopsisSpec) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.declared = append([]engine.SynopsisSpec(nil), specs...)
-	d.mu.Unlock()
+	for _, sp := range specs {
+		d.eng.DropSynopsis(sp.Name)
+	}
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rangeagg/internal/build"
@@ -383,24 +385,10 @@ func TestSegmentBaseMismatchStopsReplay(t *testing.T) {
 	}
 }
 
-func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := openT(t, dir, Options{Domain: 8})
-	if err := db.Insert(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	older := db.Engine().Counts()
-	if err := db.Insert(2, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	closeT(t, db)
-
+// corruptNewestCheckpoint flips the last byte of dir's newest
+// checkpoint and returns its intact bytes and path.
+func corruptNewestCheckpoint(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
 	cks, err := listCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -413,21 +401,126 @@ func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)-1] ^= 0xff
-	if err := os.WriteFile(newest, buf, 0o644); err != nil {
+	bad := append([]byte(nil), buf...)
+	bad[len(bad)-1] ^= 0xff
+	if err := os.WriteFile(newest, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return newest, buf
+}
 
-	// Recovery falls back to the older checkpoint. The log between the
-	// two was truncated by the newer one, so the replay sees a gap,
-	// reports it as torn, and the older state is the recovered prefix.
-	db2, rec := openT(t, dir, Options{})
-	defer closeT(t, db2)
-	if !reflect.DeepEqual(db2.Engine().Counts(), older) {
-		t.Fatalf("recovered %v, want the older checkpoint state %v", db2.Engine().Counts(), older)
+// wantGapRefused opens dir twice and checks that each open fails on the
+// log gap at record missing and that no file changed.
+func wantGapRefused(t *testing.T, dir string, missing int) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	for k := 1; k <= 2; k++ {
+		db, _, err := Open(dir, Options{})
+		if err == nil {
+			closeT(t, db)
+			t.Fatalf("open %d recovered past a log gap", k)
+		}
+		if want := fmt.Sprintf("record %d is missing", missing); !strings.Contains(err.Error(), want) {
+			t.Fatalf("open %d: err = %v, want it to say %q", k, err, want)
+		}
 	}
-	if rec.Fresh {
-		t.Fatal("fallback recovery reported Fresh")
+	if !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Fatal("a refused open modified the data directory")
+	}
+}
+
+// TestCorruptNewestCheckpointFallsBackOneGeneration damages the newer of
+// two checkpoints. The fallback to the older one is lossless only while
+// the log still reaches back to it: once the newer checkpoint truncated
+// the log, Open refuses and modifies no file; with the truncated segment
+// written back, as after a crash between the newer checkpoint's rename
+// and its truncation, recovery replays it and loses nothing.
+func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
+	setup := func(t *testing.T) (dir, seg string, segBytes []byte, want []int64) {
+		dir = t.TempDir()
+		db, _ := openT(t, dir, Options{Domain: 8})
+		if err := db.Insert(1, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert(2, 7); err != nil {
+			t.Fatal(err)
+		}
+		// Record 2 sits in the active segment, which the next checkpoint
+		// rotates away and truncates.
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = segs[len(segs)-1].path
+		if segBytes, err = os.ReadFile(seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		want = db.Engine().Counts()
+		closeT(t, db)
+		if _, err := os.Stat(seg); !os.IsNotExist(err) {
+			t.Fatalf("checkpoint kept the covered segment: %v", err)
+		}
+		corruptNewestCheckpoint(t, dir)
+		return dir, seg, segBytes, want
+	}
+	t.Run("truncated log refuses", func(t *testing.T) {
+		dir, _, _, _ := setup(t)
+		wantGapRefused(t, dir, 2)
+	})
+	t.Run("restored log falls back", func(t *testing.T) {
+		dir, seg, segBytes, want := setup(t)
+		if err := os.WriteFile(seg, segBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, rec := openT(t, dir, Options{})
+		defer closeT(t, db)
+		if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovered %v, want %v", got, want)
+		}
+		if rec.Fresh || rec.Torn || rec.Checkpoint != 1 || rec.Replayed != 1 {
+			t.Fatalf("recovery = %+v, want the older checkpoint plus 1 replayed record", rec)
+		}
+	})
+}
+
+// TestDamagedCheckpointKeepsAcknowledgedTail is the lost-tail
+// reproduction: three records acknowledged after the newest checkpoint
+// must not be deleted when that checkpoint is damaged. Both opens refuse
+// and leave every file byte-identical, so mending the checkpoint file
+// recovers every acknowledged record.
+func TestDamagedCheckpointKeepsAcknowledgedTail(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 8})
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(db.Insert(1, 5))
+	step(db.Checkpoint())
+	step(db.Insert(2, 7))
+	step(db.Checkpoint())
+	for v := 3; v <= 5; v++ {
+		step(db.Insert(v, 1))
+	}
+	closeT(t, db)
+	want := []int64{0, 5, 7, 1, 1, 1, 0, 0}
+
+	path, intact := corruptNewestCheckpoint(t, dir)
+	wantGapRefused(t, dir, 2)
+
+	step(os.WriteFile(path, intact, 0o644))
+	db, rec := openT(t, dir, Options{})
+	defer closeT(t, db)
+	if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) || rec.Torn {
+		t.Fatalf("recovered %v (torn=%v), want %v", got, rec.Torn, want)
 	}
 }
 
@@ -644,55 +737,6 @@ func TestParseFsyncPolicy(t *testing.T) {
 // A checkpoint with a nil synopsis blob (a non-serializable family, or a
 // checkpoint written by a build without the codec) is rebuilt from the
 // checkpoint counts.
-func TestCheckpointSpecOnlySynopsisRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	counts := []int64{5, 0, 3, 1, 0, 0, 9, 2}
-	wire := checkpointWire{
-		Name: "col", Domain: 8, Applied: 0, Counts: counts,
-		Synopses: []ckptSynopsis{{
-			Name: "h", Metric: int(engine.Count),
-			Options: build.Options{Method: build.VOptimal, BudgetWords: 6},
-		}},
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpoint(dir, wire); err != nil {
-		t.Fatal(err)
-	}
-	db, rec := openT(t, dir, Options{})
-	defer closeT(t, db)
-	if rec.Fresh {
-		t.Fatal("hand-written checkpoint read as fresh")
-	}
-	syn, err := db.Engine().Synopsis("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engine.New("ref", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Load(counts); err != nil {
-		t.Fatal(err)
-	}
-	refSyn, err := ref.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := encodeEstimator(syn.Est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := encodeEstimator(refSyn.Est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("spec-only rebuild differs from a reference build on the same counts")
-	}
-}
-
 func TestSegmentNameRoundTrip(t *testing.T) {
 	for _, base := range []uint64{0, 1, 0xdeadbeef, 1 << 60} {
 		got, ok := parseSegmentName(segmentName(base))
