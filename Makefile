@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint loc perfbench-test
+.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint gofmt loc perfbench-test
 
 build:
 	$(GO) build ./...
@@ -45,9 +45,14 @@ cover:
 		rangeagg/internal/reopt rangeagg/internal/ingest \
 		rangeagg/internal/engine rangeagg/internal/build
 
-lint:
+lint: gofmt
 	$(GO) vet ./...
 	$(GO) run ./scripts/switchlint
+
+# Fails, naming the files, when gofmt would reformat any Go file. CI's
+# "Gofmt" step runs this target.
+gofmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 # Non-test Go lines outside perfbench: the size figure ROADMAP and
 # CHANGES.md track.

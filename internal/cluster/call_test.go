@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,9 +18,10 @@ import (
 )
 
 // fakeNode fronts a one-node topology over [0,63] with a handler that
-// stands in for the node, and returns the router's HTTP surface and the
-// count of TCP connections the router opened to the node.
-func fakeNode(t *testing.T, node http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
+// stands in for the node, and one for each of its replicas, and returns
+// the router's HTTP surface and the count of TCP connections the router
+// opened to the node.
+func fakeNode(t *testing.T, node http.HandlerFunc, replicas ...http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var conns atomic.Int64
 	ns := httptest.NewUnstartedServer(node)
@@ -30,6 +33,11 @@ func fakeNode(t *testing.T, node http.HandlerFunc) (*httptest.Server, *atomic.In
 	ns.Start()
 	t.Cleanup(ns.Close)
 	topo := &Topology{Domain: 64, Nodes: []Node{{ID: "n0", Addr: ns.URL, Window: Window{Lo: 0, Hi: 63}}}}
+	for _, h := range replicas {
+		rs := httptest.NewServer(h)
+		t.Cleanup(rs.Close)
+		topo.Nodes[0].Replicas = append(topo.Nodes[0].Replicas, rs.URL)
+	}
 	if err := topo.validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +60,92 @@ func TestRouterRejectsMismatchedErrs(t *testing.T) {
 	raw := postRaw(t, front.URL+"/query/batch", `{"ranges":[[0,3],[4,9]]}`, http.StatusBadGateway)
 	var e serve.ErrorBody
 	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "returned 0 errs for 2 ranges") {
+		t.Fatalf("502 body %q (%v)", raw, err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("a permanent refusal was retried: %d attempts", n)
+	}
+}
+
+// stubAnswer is a node's answer to the two-range batch the tests below
+// send: a −0 value with a −0 bound, and a subnormal value unbounded.
+func stubAnswer() serve.BatchAnswer {
+	negZero := math.Copysign(0, -1)
+	return serve.BatchAnswer{Errs: []*float64{&negZero, nil}, Values: []float64{negZero, 5e-324}, Version: 3}
+}
+
+// A node built before the binary answer ignores the router's Accept and
+// answers JSON, as the stubs above do. The router merges that answer
+// bit-identically to the binary one, and a node's −0 reaches the client
+// as 0 either way, since the router sums from +0.
+func TestRouterMergesJSONAndBinaryAnswersAlike(t *testing.T) {
+	var binary atomic.Bool
+	front, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
+		if got := r.Header.Get("Accept"); got != serve.BatchMediaType {
+			t.Errorf("batch sub-request Accept %q, want %q", got, serve.BatchMediaType)
+		}
+		if !binary.Load() {
+			serve.WriteJSON(w, http.StatusOK, stubAnswer())
+			return
+		}
+		_, _ = serve.ReplyBatch(w, r, stubAnswer())
+		if got := w.Header().Get("Content-Type"); got != serve.BatchMediaType {
+			t.Errorf("node answered %q, want the binary answer", got)
+		}
+	})
+	const batch = `{"ranges":[[0,3],[4,9]]}`
+	fromJSON := postRaw(t, front.URL+"/query/batch", batch, http.StatusOK)
+	binary.Store(true)
+	fromBinary := postRaw(t, front.URL+"/query/batch", batch, http.StatusOK)
+	if !bytes.Equal(fromJSON, fromBinary) {
+		t.Fatalf("merged answers differ:\n JSON   %s\n binary %s", fromJSON, fromBinary)
+	}
+	if want := `{"errs":[0,null],"partial":false,"served":[true,true],"values":[0,5e-324],"versions":{"n0":3},`; !bytes.HasPrefix(fromBinary, []byte(want)) {
+		t.Fatalf("merged answer %s, want it to begin %s", fromBinary, want)
+	}
+}
+
+// writeBinary answers with body as a binary batch answer.
+func writeBinary(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", serve.BatchMediaType)
+	_, _ = w.Write(body)
+}
+
+// A binary answer one byte short fails to decode, like a JSON body cut
+// short: it is never merged, and the window is retried on the replica.
+func TestRouterRetriesShortBinaryAnswer(t *testing.T) {
+	bin, _ := stubAnswer().AppendBinary(nil)
+	var short atomic.Int64
+	front, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
+		short.Add(1)
+		writeBinary(w, bin[:len(bin)-1])
+	}, func(w http.ResponseWriter, r *http.Request) {
+		writeBinary(w, bin)
+	})
+	var res BatchResult
+	if err := json.Unmarshal(postRaw(t, front.URL+"/query/batch", `{"ranges":[[0,3],[4,9]]}`, http.StatusOK), &res); err != nil {
+		t.Fatal(err)
+	}
+	if w := res.Windows; short.Load() != 1 || len(w) != 1 || !w[0].Replica || w[0].Attempts != 2 || res.Partial {
+		t.Fatalf("short answer served %d times, windows %+v, partial %v", short.Load(), w, res.Partial)
+	}
+	if math.Float64bits(res.Values[0]) != 0 || res.Values[1] != 5e-324 || res.Errs[0] == nil || *res.Errs[0] != 0 || res.Errs[1] != nil {
+		t.Fatalf("merged %v, errs %v, want the replica's answer alone", res.Values, res.Errs)
+	}
+}
+
+// A well-formed binary answer whose count disagrees with the sub-ranges
+// is refused like a JSON one: permanently, without a retry.
+func TestRouterRejectsMiscountedBinaryAnswer(t *testing.T) {
+	bin, _ := serve.BatchAnswer{Errs: []*float64{nil}, Values: []float64{1}}.AppendBinary(nil)
+	var calls atomic.Int64
+	front, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		writeBinary(w, bin)
+	})
+	raw := postRaw(t, front.URL+"/query/batch", `{"ranges":[[0,3],[4,9]]}`, http.StatusBadGateway)
+	var e serve.ErrorBody
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "returned 1 values for 2 ranges") {
 		t.Fatalf("502 body %q (%v)", raw, err)
 	}
 	if n := calls.Load(); n != 1 {

@@ -148,12 +148,10 @@ type RouterHealth struct {
 func (r *Router) forwardIngest(req *http.Request, body serve.IngestRequest) ([]string, error) {
 	shares := make([]serve.IngestRequest, len(r.topo.Nodes))
 	owner := func(value int) (*serve.IngestRequest, error) {
-		for i := range r.topo.Nodes {
-			if w := r.topo.Nodes[i].Window; value >= w.Lo && value <= w.Hi {
-				return &shares[i], nil
-			}
+		if value < 0 || value >= r.topo.Domain {
+			return nil, fmt.Errorf("value %d is outside the domain [0,%d)", value, r.topo.Domain)
 		}
-		return nil, fmt.Errorf("value %d is outside the domain [0,%d)", value, r.topo.Domain)
+		return &shares[r.topo.owner(value)], nil
 	}
 	for _, mu := range body.Inserts {
 		share, err := owner(mu.Value)

@@ -309,12 +309,12 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 		res.Answer = plan.MergeAnswers()
 		return res, nil
 	}
-	parts := r.topo.Split(a, b)
+	parts := r.topo.Split(nil, a, b)
 	weights := make([]int, len(parts))
 	for i, p := range parts {
 		weights[i] = p.Window.Width()
 	}
-	budgets := r.splitBudget(q.MaxErr, weights)
+	budgets := plan.SplitBudget(make([]float64, 0, len(parts)), planBudget(q.MaxErr), weights)
 
 	answers := make([]plan.Answer, len(parts))
 	reports := make([]WindowReport, len(parts))
@@ -350,14 +350,13 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 	return res, nil
 }
 
-// splitBudget turns the optional MaxErr into per-window budgets (NaN =
-// no budget, matching the planner convention).
-func (r *Router) splitBudget(maxErr *float64, weights []int) []float64 {
-	budget := math.NaN()
-	if maxErr != nil {
-		budget = *maxErr
+// planBudget is an optional MaxErr in the planner's convention: NaN
+// for no budget.
+func planBudget(maxErr *float64) float64 {
+	if maxErr == nil {
+		return math.NaN()
 	}
-	return plan.SplitBudget(budget, weights)
+	return *maxErr
 }
 
 // subQuery serves one window from its owner through the failover loop.
@@ -439,7 +438,8 @@ const maxAck = 4096
 // POST of body as JSON when body is non-nil. A non-200 answer is a
 // *serve.StatusError; a 200 answer is decoded into out (a zero value)
 // when out is non-nil, and otherwise read to EOF, so net/http keeps the
-// keep-alive connection.
+// keep-alive connection. A *serve.BatchAnswer is asked for in its
+// binary encoding and decoded by the answer's Content-Type.
 func (r *Router) call(ctx context.Context, endpoint, path string, body, out any) error {
 	method, rd := http.MethodGet, io.Reader(nil)
 	if body != nil {
@@ -456,6 +456,9 @@ func (r *Router) call(ctx context.Context, endpoint, path string, body, out any)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if _, ok := out.(*serve.BatchAnswer); ok {
+		req.Header.Set("Accept", serve.BatchMediaType)
+	}
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
@@ -470,7 +473,7 @@ func (r *Router) call(ctx context.Context, endpoint, path string, body, out any)
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxAck))
 		return nil
 	}
-	if err := serve.ReadJSON(resp.Body, out); err != nil {
+	if err := serve.ReadAnswer(resp, out); err != nil {
 		return fmt.Errorf("decoding answer from %s: %w", endpoint, err)
 	}
 	return nil
@@ -500,24 +503,27 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 		res.Served[i], rigorous[i] = true, true
 	}
 
-	// Split every range and group the parts per owning node.
+	// Split every range and group the parts per owning node; the split
+	// reuses one set of buffers across ranges.
 	type subRange struct {
 		rangeIdx int
 		w        Window
 		budget   float64
 	}
 	perNode := make([][]subRange, len(r.topo.Nodes))
+	var parts []Part
+	var weights []int
+	var budgets []float64
 	for i, rg := range ranges {
 		a, b, ok := r.topo.Clamp(rg[0], rg[1])
 		if !ok {
 			continue // exact zero, no node involved
 		}
-		parts := r.topo.Split(a, b)
-		weights := make([]int, len(parts))
-		for j, p := range parts {
-			weights[j] = p.Window.Width()
+		parts, weights = r.topo.Split(parts[:0], a, b), weights[:0]
+		for _, p := range parts {
+			weights = append(weights, p.Window.Width())
 		}
-		budgets := r.splitBudget(maxErr, weights)
+		budgets = plan.SplitBudget(budgets[:0], planBudget(maxErr), weights)
 		for j, p := range parts {
 			perNode[p.Node] = append(perNode[p.Node], subRange{rangeIdx: i, w: p.Window, budget: budgets[j]})
 		}

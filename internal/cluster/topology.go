@@ -93,18 +93,23 @@ type Part struct {
 	Window Window
 }
 
-// Split intersects [a,b] with every owned window, returning the parts
-// in window order. The caller clamps to the domain first; Split on a
-// clamped non-empty range always returns ≥1 part because the windows
-// tile the domain.
-func (t *Topology) Split(a, b int) []Part {
-	var parts []Part
-	for i := range t.Nodes {
+// Split appends the parts of [a,b] to parts, in window order. The
+// windows tile the domain in order, so the parts are the run of windows
+// from the one holding a to the one holding b; a clamped non-empty
+// range always has at least one.
+func (t *Topology) Split(parts []Part, a, b int) []Part {
+	for i := t.owner(a); i < len(t.Nodes) && t.Nodes[i].Window.Lo <= b; i++ {
 		if w, ok := t.Nodes[i].Window.Intersect(a, b); ok {
 			parts = append(parts, Part{Node: i, Window: w})
 		}
 	}
 	return parts
+}
+
+// owner returns the index of the first window that ends at or after v:
+// the one holding v when v is in the domain.
+func (t *Topology) owner(v int) int {
+	return sort.Search(len(t.Nodes), func(i int) bool { return t.Nodes[i].Window.Hi >= v })
 }
 
 // Clamp intersects [a,b] with the domain; ok is false when empty.

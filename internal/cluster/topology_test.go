@@ -69,7 +69,7 @@ func TestSplitAndClamp(t *testing.T) {
 		{"id":"b","addr":"x:2","window":[30,69]},
 		{"id":"c","addr":"x:3","window":[70,99]}]}`)
 
-	parts := topo.Split(10, 80)
+	parts := topo.Split(nil, 10, 80)
 	if len(parts) != 3 {
 		t.Fatalf("want 3 parts, got %d: %v", len(parts), parts)
 	}
@@ -89,7 +89,7 @@ func TestSplitAndClamp(t *testing.T) {
 	}
 
 	// A range inside one window yields exactly one part.
-	if parts := topo.Split(35, 35); len(parts) != 1 || parts[0].Node != 1 {
+	if parts := topo.Split(nil, 35, 35); len(parts) != 1 || parts[0].Node != 1 {
 		t.Fatalf("single-window split: %v", parts)
 	}
 

@@ -10,23 +10,20 @@ import "math"
 // audited place instead of scattered through the router.
 
 // SplitBudget divides one error budget across windows proportionally to
-// their weights (typically the window widths): part i receives
+// their weights (typically the window widths), appending one part per
+// weight to dst, so one slice can serve many splits: part i is
 // maxErr·wᵢ/Σw, so the parts sum back to maxErr and MergeAnswers of
 // per-window answers each meeting its part meets the whole budget.
 // Conventions follow Planner.Query: NaN means "no budget" and propagates
 // to every part; a negative budget clamps to 0; zero (or all-zero)
 // weights fall back to an even split so no window is handed an
 // impossible 0-of-nothing share.
-func SplitBudget(maxErr float64, weights []int) []float64 {
-	parts := make([]float64, len(weights))
-	if len(weights) == 0 {
-		return parts
-	}
+func SplitBudget(dst []float64, maxErr float64, weights []int) []float64 {
 	if math.IsNaN(maxErr) {
-		for i := range parts {
-			parts[i] = math.NaN()
+		for range weights {
+			dst = append(dst, math.NaN())
 		}
-		return parts
+		return dst
 	}
 	if maxErr < 0 {
 		maxErr = 0
@@ -37,14 +34,16 @@ func SplitBudget(maxErr float64, weights []int) []float64 {
 			total += float64(w)
 		}
 	}
-	for i, w := range weights {
+	for _, w := range weights {
+		part := 0.0
 		if total <= 0 {
-			parts[i] = maxErr / float64(len(weights))
+			part = maxErr / float64(len(weights))
 		} else if w > 0 {
-			parts[i] = maxErr * float64(w) / total
+			part = maxErr * float64(w) / total
 		}
+		dst = append(dst, part)
 	}
-	return parts
+	return dst
 }
 
 // MergeAnswers composes per-window answers over disjoint windows into

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSplitBudgetProportional(t *testing.T) {
-	parts := SplitBudget(10, []int{512, 256, 256})
+	parts := SplitBudget(nil, 10, []int{512, 256, 256})
 	want := []float64{5, 2.5, 2.5}
 	var sum float64
 	for i, p := range parts {
@@ -21,29 +21,29 @@ func TestSplitBudgetProportional(t *testing.T) {
 }
 
 func TestSplitBudgetConventions(t *testing.T) {
-	for _, p := range SplitBudget(math.NaN(), []int{1, 2}) {
+	for _, p := range SplitBudget(nil, math.NaN(), []int{1, 2}) {
 		if !math.IsNaN(p) {
 			t.Fatalf("NaN (no budget) must propagate to every part, got %g", p)
 		}
 	}
-	for _, p := range SplitBudget(-3, []int{1, 2}) {
+	for _, p := range SplitBudget(nil, -3, []int{1, 2}) {
 		if p != 0 {
 			t.Fatalf("negative budgets clamp to 0, got %g", p)
 		}
 	}
 	// All-zero weights: even split, not division by zero.
-	parts := SplitBudget(4, []int{0, 0})
+	parts := SplitBudget(nil, 4, []int{0, 0})
 	for _, p := range parts {
 		if p != 2 {
 			t.Fatalf("zero-weight fallback: got %g, want 2", p)
 		}
 	}
 	// A zero weight among positive ones gets nothing.
-	parts = SplitBudget(6, []int{0, 3})
+	parts = SplitBudget(nil, 6, []int{0, 3})
 	if parts[0] != 0 || parts[1] != 6 {
 		t.Fatalf("got %v, want [0 6]", parts)
 	}
-	if got := SplitBudget(1, nil); len(got) != 0 {
+	if got := SplitBudget(nil, 1, nil); len(got) != 0 {
 		t.Fatalf("empty weights: got %v", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestMergeAnswersComposition(t *testing.T) {
 func TestMergeMeetsSplitBudget(t *testing.T) {
 	budget := 7.5
 	weights := []int{100, 50, 25}
-	parts := SplitBudget(budget, weights)
+	parts := SplitBudget(nil, budget, weights)
 	answers := make([]Answer, len(parts))
 	for i, p := range parts {
 		answers[i] = Answer{Value: 1, Bound: p * 0.99, Rigorous: true, Path: PathEscalate}

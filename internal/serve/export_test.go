@@ -1,7 +1,4 @@
 package serve
 
-// The scanners, for the codec tests in package serve_test.
-var (
-	ScanBatchRequest = scanBatchRequest
-	ScanBatchAnswer  = scanBatchAnswer
-)
+// The request scanner, for the codec tests in package serve_test.
+var ScanBatchRequest = scanBatchRequest

@@ -22,7 +22,8 @@ import (
 //	GET  /checkpoint        stream the newest atomic checkpoint (durable
 //	                        nodes only) — the replication pull source
 //	GET  /query             QueryParams → QueryAnswer
-//	POST /query/batch       BatchRequest → BatchAnswer
+//	POST /query/batch       BatchRequest → BatchAnswer, in its binary
+//	                        encoding when Accept is BatchMediaType
 //	POST /ingest            IngestRequest → Ack
 //	POST /load              LoadRequest → Ack
 //	POST /rebuild           force a snapshot rebuild now → RebuildReport
@@ -138,7 +139,7 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 				body.Errs[i] = &bounds[i]
 			}
 		}
-		return Reply(w, body)
+		return ReplyBatch(w, r, body)
 	})
 
 	x.Handle("/ingest", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {

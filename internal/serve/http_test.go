@@ -116,6 +116,54 @@ func TestHandlerHealthQueryBatch(t *testing.T) {
 	postJSON(t, ts.URL+"/query/batch", map[string]any{"metric": "MEDIAN", "ranges": ranges}, http.StatusBadRequest)
 }
 
+// A node answers one batch alike in both encodings: asked for the
+// binary answer, it writes BatchMediaType with its Content-Length, and
+// that decodes to what its JSON answer on the same snapshot decodes to,
+// bit for bit.
+func TestHandlerBatchBinaryMatchesJSON(t *testing.T) {
+	_, _, ts := newTestHandler(t)
+	ranges := `"ranges":[[0,5],[10,20],[0,63],[-5,100],[7,7],[40,2]]`
+	for _, body := range []string{
+		`{` + ranges + `}`, `{"synopsis":"h",` + ranges + `}`, `{"synopsis":"h","maxerr":0,` + ranges + `}`,
+		`{"synopsis":"h","maxerr":3.5,` + ranges + `}`, `{"synopsis":"s","metric":"SUM","maxerr":100,` + ranges + `}`,
+	} {
+		var answers [2]BatchAnswer
+		for i, accept := range []string{"", BatchMediaType} {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/query/batch", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Accept", accept)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantType := "application/json"
+			if accept != "" {
+				wantType = BatchMediaType
+			}
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != wantType ||
+				ct == BatchMediaType && resp.ContentLength != 16+16*6 {
+				t.Fatalf("%s, Accept %q: status %d, type %q, length %d", body, accept, resp.StatusCode, ct, resp.ContentLength)
+			}
+			err = ReadAnswer(resp, &answers[i])
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		js, bin := answers[0], answers[1]
+		same := js.Version == bin.Version && len(js.Values) == 6 && len(bin.Values) == 6 && len(js.Errs) == 6 && len(bin.Errs) == 6
+		for i := 0; same && i < 6; i++ {
+			same = math.Float64bits(js.Values[i]) == math.Float64bits(bin.Values[i]) && (js.Errs[i] == nil) == (bin.Errs[i] == nil) &&
+				(js.Errs[i] == nil || math.Float64bits(*js.Errs[i]) == math.Float64bits(*bin.Errs[i]))
+		}
+		if !same {
+			t.Fatalf("%s: JSON answer %+v, binary answer %+v", body, js, bin)
+		}
+	}
+}
+
 func TestHandlerIngestLoadRebuild(t *testing.T) {
 	s, _, ts := newTestHandler(t)
 	version := s.Snapshot().Version

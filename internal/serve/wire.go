@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -304,17 +305,16 @@ func Reply(w http.ResponseWriter, v any) (int, error) {
 
 // The batch codec. A /query/batch body carries one entry per range, so
 // encoding/json reflection used to cost more than the planner behind it.
-// BatchRequest and BatchAnswer are instead read whole into a pooled
-// buffer (ReadJSON) and scanned, and written by append encoders
-// (Appender) through WriteJSON and MarshalJSON; the router's batch
-// answer implements Appender with the helpers below. The scanner accepts
-// the canonical shape: keys spelled as the encoders spell them, each at
-// most once, ASCII strings without escapes, integers that fit, finite
-// floats, and null only for a whole slice or an errs entry. Any other
-// body goes to json.Decoder over the same bytes, so decoded values and
-// error texts stay encoding/json's. Likewise an encoder that meets NaN
-// or ±Inf hands the body to encoding/json, whose error is the reference
-// behaviour.
+// A BatchRequest is read whole into a pooled buffer (ReadJSON) and
+// scanned, and the batch bodies are written by append encoders
+// (Appender) through WriteJSON and MarshalJSON. The scanner accepts the
+// canonical shape: keys spelled as the encoders spell them, each at most
+// once, ASCII strings without escapes, integers that fit, finite floats,
+// and null only for a whole slice. Any other body goes to json.Decoder
+// over the same bytes, so decoded values and error texts stay
+// encoding/json's; an encoder that meets NaN or ±Inf hands the body to
+// encoding/json, whose error is the reference behaviour. A BatchAnswer
+// also has a binary encoding (AppendBinary) for the router.
 
 // MaxBatchBody bounds a POST /query/batch or /ingest request body, at a
 // node and at the router; a larger body is refused with 413.
@@ -363,9 +363,9 @@ func MarshalJSON(v any) ([]byte, error) {
 }
 
 // ReadJSON reads r to EOF into a pooled buffer and decodes the bytes
-// into v, which must point to a zero value: a *BatchRequest or
-// *BatchAnswer in canonical shape through the scanner, anything else
-// through json.Decoder.
+// into v, which must point to a zero value: a *BatchRequest in
+// canonical shape through the scanner, anything else through
+// json.Decoder.
 func ReadJSON(r io.Reader, v any) error {
 	bp := getBuf()
 	defer putBuf(bp)
@@ -374,15 +374,9 @@ func ReadJSON(r io.Reader, v any) error {
 		return err
 	}
 	data := *bp
-	switch v := v.(type) {
-	case *BatchRequest:
-		if req, ok := scanBatchRequest(data); ok {
-			*v = req
-			return nil
-		}
-	case *BatchAnswer:
-		if ans, ok := scanBatchAnswer(data); ok {
-			*v = ans
+	if req, ok := v.(*BatchRequest); ok {
+		if scanned, ok := scanBatchRequest(data); ok {
+			*req = scanned
 			return nil
 		}
 	}
@@ -457,11 +451,105 @@ func (a BatchAnswer) AppendJSON(b []byte) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
+// BatchMediaType is the media type of a BatchAnswer's binary encoding.
+const BatchMediaType = "application/x-rangeagg-batch"
+
+// AppendBinary appends the binary encoding of a: Version and the count
+// n as little-endian 64-bit integers, then n little-endian float64 bit
+// pairs, each value followed by its bound (+Inf for a nil one). ok is
+// false where AppendJSON fails, on a NaN or infinite value or a non-nil
+// bound that is not finite, and for errs and values of different
+// lengths, which no node writes.
+func (a BatchAnswer) AppendBinary(b []byte) ([]byte, bool) {
+	if len(a.Errs) != len(a.Values) {
+		return b, false
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.Version))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(a.Values)))
+	for i, v := range a.Values {
+		bound := math.Inf(1)
+		if a.Errs[i] != nil {
+			bound = *a.Errs[i]
+		}
+		if !finite(v) || a.Errs[i] != nil && !finite(bound) {
+			return b, false
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(bound))
+	}
+	return b, true
+}
+
+// DecodeBatchAnswer decodes AppendBinary's bytes. It refuses a body
+// that is not the 16-byte header plus 16 bytes per counted range, and
+// any pair AppendBinary does not write, so a body it accepts re-encodes
+// to the same bytes.
+func DecodeBatchAnswer(data []byte) (BatchAnswer, error) {
+	n := (len(data) - 16) / 16
+	if len(data) < 16 || len(data) != 16+16*n || binary.LittleEndian.Uint64(data[8:]) != uint64(n) {
+		return BatchAnswer{}, fmt.Errorf("binary batch answer of %d bytes is not a 16-byte header and 16 bytes per range", len(data))
+	}
+	ans := BatchAnswer{Errs: make([]*float64, n), Values: make([]float64, n), Version: int64(binary.LittleEndian.Uint64(data))}
+	bounds := make([]float64, n)
+	for i := range ans.Values {
+		pair := data[16+16*i:]
+		v, bound := math.Float64frombits(binary.LittleEndian.Uint64(pair)), math.Float64frombits(binary.LittleEndian.Uint64(pair[8:]))
+		if !finite(v) || !finite(bound) && !math.IsInf(bound, 1) {
+			return BatchAnswer{}, fmt.Errorf("binary batch answer: range %d has value %g and bound %g", i, v, bound)
+		}
+		if ans.Values[i], bounds[i] = v, bound; !math.IsInf(bound, 1) {
+			ans.Errs[i] = &bounds[i]
+		}
+	}
+	return ans, nil
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// ReplyBatch writes a node's /query/batch answer: in the binary
+// encoding, with its Content-Length, when the request's Accept is
+// exactly BatchMediaType, as the router sends it, and the encoding can
+// carry a; otherwise as JSON.
+func ReplyBatch(w http.ResponseWriter, r *http.Request, a BatchAnswer) (int, error) {
+	if r.Header.Get("Accept") == BatchMediaType {
+		bp := getBuf()
+		defer putBuf(bp)
+		var ok bool
+		if *bp, ok = a.AppendBinary(*bp); ok {
+			w.Header().Set("Content-Type", BatchMediaType)
+			w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(*bp) // past the header, only a dead client fails
+			return 0, nil
+		}
+	}
+	return Reply(w, a)
+}
+
+// ReadAnswer decodes a 200 answer into v (see ReadJSON): a
+// BatchMediaType body into a *BatchAnswer through DecodeBatchAnswer, and
+// any other, such as the JSON a node built before the binary encoding
+// writes, through ReadJSON.
+func ReadAnswer(resp *http.Response, v any) error {
+	ans, ok := v.(*BatchAnswer)
+	if !ok || resp.Header.Get("Content-Type") != BatchMediaType {
+		return ReadJSON(resp.Body, v)
+	}
+	bp := getBuf()
+	defer putBuf(bp)
+	var err error
+	if *bp, err = readAll(*bp, resp.Body); err != nil {
+		return err
+	}
+	*ans, err = DecodeBatchAnswer(*bp)
+	return err
+}
+
 // AppendFloat appends f as encoding/json writes a float64: the shortest
 // decimal that reads back as f, in exponent form below 1e-6 and from
 // 1e21. ok is false for NaN and ±Inf, which JSON cannot carry.
 func AppendFloat(b []byte, f float64) ([]byte, bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	if !finite(f) {
 		return b, false
 	}
 	format := byte('f')
@@ -538,24 +626,6 @@ func scanBatchRequest(data []byte) (req BatchRequest, ok bool) {
 		return ok
 	})
 	return req, ok
-}
-
-// scanBatchAnswer decodes a canonical BatchAnswer; ok is false for any
-// other body.
-func scanBatchAnswer(data []byte) (ans BatchAnswer, ok bool) {
-	s := scanner{data: data}
-	ok = s.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "errs":
-			ans.Errs, ok = s.bounds()
-		case "values":
-			ans.Values, ok = s.floats()
-		case "version":
-			ans.Version, ok = s.int()
-		}
-		return ok
-	})
-	return ans, ok
 }
 
 // scanner walks one body in canonical shape. Every method reports false
@@ -733,102 +803,49 @@ func (s *scanner) float() (float64, bool) {
 	return f, err == nil
 }
 
-// items estimates the length of the array about to be scanned by
-// counting sep up to the first occurrence of end: exact for a canonical
-// body, and only a capacity either way. It is capped, so a body that
-// will not scan cannot make a large allocation.
-func (s *scanner) items(sep byte, end string) int {
+// items estimates the number of ranges about to be scanned by counting
+// ']' up to the first "]]": exact for a canonical body, and only a
+// capacity either way. It is capped, so a body that will not scan
+// cannot make a large allocation.
+func (s *scanner) items() int {
 	rest := s.data[s.pos:]
-	if i := bytes.Index(rest, []byte(end)); i >= 0 {
+	if i := bytes.Index(rest, []byte("]]")); i >= 0 {
 		rest = rest[:i]
 	}
-	return min(bytes.Count(rest, []byte{sep})+1, 4096)
+	return min(bytes.Count(rest, []byte("]"))+1, 4096)
 }
 
-// array scans [item,...] or null, calling item for each element.
-// isNull reports null.
-func (s *scanner) array(item func() bool) (isNull, ok bool) {
+// ranges scans [[a,b],...] or null, with ints that fit the platform's
+// int.
+func (s *scanner) ranges() ([][2]int, bool) {
 	if s.null() {
-		return true, true
+		return nil, true
 	}
+	out := make([][2]int, 0, s.items())
 	if !s.next('[') {
-		return false, false
+		return nil, false
 	}
 	if s.next(']') {
-		return false, true
+		return out, true
 	}
 	for {
-		if !item() {
-			return false, false
-		}
-		if s.next(']') {
-			return false, true
-		}
-		if !s.next(',') {
-			return false, false
-		}
-	}
-}
-
-// ranges scans [[a,b],...] with ints that fit the platform's int.
-func (s *scanner) ranges() ([][2]int, bool) {
-	out := make([][2]int, 0, s.items(']', "]]"))
-	isNull, ok := s.array(func() bool {
 		if !s.next('[') {
-			return false
+			return nil, false
 		}
 		a, ok := s.int()
 		if !ok || !s.next(',') {
-			return false
+			return nil, false
 		}
 		b, ok := s.int()
 		if !ok || !s.next(']') || int64(int(a)) != a || int64(int(b)) != b {
-			return false
+			return nil, false
 		}
 		out = append(out, [2]int{int(a), int(b)})
-		return true
-	})
-	if isNull {
-		return nil, ok
-	}
-	return out, ok
-}
-
-// floats scans [f,...] of finite floats.
-func (s *scanner) floats() ([]float64, bool) {
-	out := make([]float64, 0, s.items(',', "]"))
-	isNull, ok := s.array(func() bool {
-		f, ok := s.float()
-		out = append(out, f)
-		return ok
-	})
-	if isNull {
-		return nil, ok
-	}
-	return out, ok
-}
-
-// bounds scans an errs list: finite floats or null entries.
-func (s *scanner) bounds() ([]*float64, bool) {
-	// NaN marks a null entry while scanning: no JSON number parses to it.
-	vals := make([]float64, 0, s.items(',', "]"))
-	isNull, ok := s.array(func() bool {
-		if s.null() {
-			vals = append(vals, math.NaN())
-			return true
+		if s.next(']') {
+			return out, true
 		}
-		f, ok := s.float()
-		vals = append(vals, f)
-		return ok
-	})
-	if isNull || !ok {
-		return nil, ok
-	}
-	out := make([]*float64, len(vals))
-	for i := range vals {
-		if !math.IsNaN(vals[i]) {
-			out[i] = &vals[i]
+		if !s.next(',') {
+			return nil, false
 		}
 	}
-	return out, true
 }

@@ -19,12 +19,16 @@ import (
 // FuzzBatchWire is the batch codec's differential against encoding/json,
 // the reference behaviour:
 //   - for arbitrary bytes, ReadJSON (scanner or fallback) decodes a
-//     BatchRequest and a BatchAnswer to what json.Decoder decodes, value
-//     and error text alike, and a body the scanner accepts is one
-//     json.Decoder accepts;
+//     BatchRequest to what json.Decoder decodes, value and error text
+//     alike, and a body the scanner accepts is one json.Decoder accepts;
 //   - for values built from the same bytes, every append encoder writes
 //     the bytes encoding/json writes, through MarshalJSON and WriteJSON,
-//     and fails where encoding/json fails.
+//     and fails where encoding/json fails;
+//   - a node's BatchAnswer built from them fails to encode in binary
+//     exactly where its JSON fails, and otherwise decodes from binary to
+//     what its JSON decodes to, bit for bit;
+//   - the same bytes given to the binary decoder either fail or decode
+//     to an answer that re-encodes to them, and never panic.
 func FuzzBatchWire(f *testing.F) {
 	for _, seed := range []string{
 		// perfbench's request shapes (ranges first, maxerr last) and the
@@ -44,14 +48,54 @@ func FuzzBatchWire(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	negZero := math.Copysign(0, -1)
+	for _, ans := range []serve.BatchAnswer{
+		{Errs: []*float64{nil, &negZero, new(float64)}, Values: []float64{negZero, 5e-324, 1e21}, Version: 7},
+		{Errs: []*float64{}, Values: []float64{}, Version: -1},
+	} {
+		bin, _ := ans.AppendBinary(nil)
+		f.Add(bin)
+		f.Add(bin[:len(bin)-1])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data, serve.ScanBatchRequest, sameRequest)
-		checkDecode(t, data, serve.ScanBatchAnswer, sameAnswer)
 		g := &gen{data: data}
 		checkEncode(t, g.request())
-		checkEncode(t, g.answer())
+		ans := g.answer()
+		checkEncode(t, ans)
+		if _, ok := ans.AppendBinary(nil); ok && len(ans.Errs) != len(ans.Values) {
+			t.Fatalf("AppendBinary encoded %d errs for %d values", len(ans.Errs), len(ans.Values))
+		}
 		checkEncode(t, g.result())
+		checkBinary(t, (&gen{data: data}).nodeAnswer())
+		if ans, err := serve.DecodeBatchAnswer(data); err == nil {
+			if bin, ok := ans.AppendBinary(nil); !ok || !bytes.Equal(bin, data) {
+				t.Fatalf("binary %x decoded to %+v, which re-encodes to %x, %v", data, ans, bin, ok)
+			}
+		}
 	})
+}
+
+// checkBinary checks a node's answer's binary encoding against its JSON:
+// AppendBinary fails exactly where AppendJSON fails, and otherwise the
+// binary decodes to what the JSON decodes to, bit for bit.
+func checkBinary(t *testing.T, ans serve.BatchAnswer) {
+	t.Helper()
+	bin, binOK := ans.AppendBinary(nil)
+	js, jsonOK := ans.AppendJSON(nil)
+	if binOK != jsonOK {
+		t.Fatalf("%+v: AppendBinary ok=%v, AppendJSON ok=%v", ans, binOK, jsonOK)
+	}
+	if !binOK {
+		return
+	}
+	var want serve.BatchAnswer
+	if err := json.Unmarshal(js, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := serve.DecodeBatchAnswer(bin); err != nil || !sameAnswer(got, want) {
+		t.Fatalf("binary %x decoded to %+v, %v; its JSON %s to %+v", bin, got, err, js, want)
+	}
 }
 
 func checkDecode[T any](t *testing.T, data []byte, scan func([]byte) (T, bool), same func(a, b T) bool) {
@@ -199,6 +243,17 @@ func (g *gen) answer() serve.BatchAnswer {
 	return serve.BatchAnswer{Errs: g.bounds(), Values: g.floats(), Version: int64(g.uint64())}
 }
 
+// nodeAnswer is an answer shaped as a node writes it: one bound per
+// value.
+func (g *gen) nodeAnswer() serve.BatchAnswer {
+	n := max(g.length(), 0)
+	ans := serve.BatchAnswer{Errs: make([]*float64, n), Values: make([]float64, n), Version: int64(g.uint64())}
+	for i := range ans.Values {
+		ans.Values[i], ans.Errs[i] = g.float(), g.optFloat()
+	}
+	return ans
+}
+
 func (g *gen) result() cluster.BatchResult {
 	res := cluster.BatchResult{Errs: g.bounds(), Partial: g.byte()%2 == 0, Values: g.floats()}
 	if n := g.length(); n >= 0 {
@@ -228,7 +283,8 @@ func (g *gen) result() cluster.BatchResult {
 
 // TestBatchCodecScansCanonical checks that the scanner, not the
 // fallback, decodes what the encoders write and what perfbench sends:
-// every such body must scan, and to the encoded value.
+// every such body must scan, and to the encoded value. Answers are
+// checked against their binary encoding, which must carry them whole.
 func TestBatchCodecScansCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	float := func() float64 {
@@ -270,12 +326,8 @@ func TestBatchCodecScansCanonical(t *testing.T) {
 		if got, ok := serve.ScanBatchRequest(data); !ok || !sameRequest(got, req) {
 			t.Fatalf("request %s scanned as %+v, %v", data, got, ok)
 		}
-		data, err = serve.MarshalJSON(ans)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, ok := serve.ScanBatchAnswer(append(data, '\n')); !ok || !sameAnswer(got, ans) {
-			t.Fatalf("answer %s scanned as %+v, %v", data, got, ok)
+		if ans.Values != nil {
+			checkBinary(t, ans)
 		}
 	}
 	// perfbench writes the budget after the ranges, with 'g' formatting.

@@ -118,15 +118,9 @@ func readCheckpoint(path string) (checkpointWire, error) {
 // src names the source for error messages.
 func decodeCheckpointBytes(buf []byte, src string) (checkpointWire, error) {
 	var wire checkpointWire
-	hdrLen := len(ckptMagic) + recHdrLen
-	if len(buf) < hdrLen || string(buf[:len(ckptMagic)]) != ckptMagic {
-		return wire, fmt.Errorf("wal: checkpoint %s: bad header", src)
-	}
-	n := int(binary.LittleEndian.Uint32(buf[len(ckptMagic):]))
-	sum := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
-	body := buf[hdrLen:]
-	if n != len(body) || crc32.Checksum(body, castagnoli) != sum {
-		return wire, fmt.Errorf("wal: checkpoint %s: checksum mismatch", src)
+	body, err := checkpointBody(buf, src)
+	if err != nil {
+		return wire, err
 	}
 	if err := json.Unmarshal(body, &wire); err != nil {
 		return wire, fmt.Errorf("wal: checkpoint %s: %w", src, err)
@@ -145,26 +139,48 @@ func decodeCheckpointBytes(buf []byte, src string) (checkpointWire, error) {
 	return wire, nil
 }
 
-// pruneCheckpoints removes all but the newest keep checkpoints.
-func pruneCheckpoints(dir string, keep int) error {
+// checkpointBody checks a checkpoint's frame (magic, length and
+// checksum) and returns its JSON body.
+func checkpointBody(buf []byte, src string) ([]byte, error) {
+	hdrLen := len(ckptMagic) + recHdrLen
+	if len(buf) < hdrLen || string(buf[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("wal: checkpoint %s: bad header", src)
+	}
+	n := int(binary.LittleEndian.Uint32(buf[len(ckptMagic):]))
+	sum := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
+	body := buf[hdrLen:]
+	if n != len(body) || crc32.Checksum(body, castagnoli) != sum {
+		return nil, fmt.Errorf("wal: checkpoint %s: checksum mismatch", src)
+	}
+	return body, nil
+}
+
+// pruneCheckpoints keeps the newest checkpoint, which the caller has
+// just written, and the newest keep-1 older ones whose frame checks: a
+// damaged checkpoint is no generation to fall back to. It removes the
+// rest and returns the applied index of the oldest one kept.
+func pruneCheckpoints(dir string, keep int) (uint64, error) {
 	cks, err := listCheckpoints(dir)
-	if err != nil {
-		return err
+	if err != nil || len(cks) == 0 {
+		return 0, err
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	removedAny := false
-	for i := 0; i+keep < len(cks); i++ {
-		if err := os.Remove(cks[i].path); err != nil {
-			return fmt.Errorf("wal: pruning checkpoint: %w", err)
+	oldest := cks[len(cks)-1].base
+	for i := len(cks) - 2; i >= 0; i-- {
+		if keep > 1 {
+			buf, err := os.ReadFile(cks[i].path)
+			if err != nil {
+				return 0, fmt.Errorf("wal: reading checkpoint %s: %w", cks[i].path, err)
+			}
+			if _, err := checkpointBody(buf, cks[i].path); err == nil {
+				oldest, keep = cks[i].base, keep-1
+				continue
+			}
 		}
-		removedAny = true
+		if err := os.Remove(cks[i].path); err != nil {
+			return 0, fmt.Errorf("wal: pruning checkpoint: %w", err)
+		}
 	}
-	if removedAny {
-		return fsx.SyncDir(dir)
-	}
-	return nil
+	return oldest, fsx.SyncDir(dir)
 }
 
 // newestValidCheckpoint loads the newest checkpoint that passes

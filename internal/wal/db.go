@@ -35,12 +35,12 @@ type Options struct {
 	// CheckpointEvery makes MaybeCheckpoint fire once this many records
 	// accumulate past the last checkpoint (default 4096).
 	CheckpointEvery int64
-	// KeepCheckpoints retains this many newest checkpoint files
-	// (default 2). Recovery falls back from a damaged newest checkpoint
-	// to an older one only while the log still reaches back to it, as
-	// after a crash between a checkpoint's rename and its log
-	// truncation; once the newer checkpoint truncated the log, the
-	// fallback would lose the records in between, so Open refuses.
+	// KeepCheckpoints retains this many newest intact checkpoint files
+	// (default 2), and the log back to the oldest of them, so recovery
+	// falls back from a damaged newest checkpoint to an older one
+	// without losing a record. Each older generation costs one
+	// checkpoint interval of log on disk; with 1, a checkpoint truncates
+	// the log through itself.
 	KeepCheckpoints int
 }
 
@@ -232,13 +232,13 @@ func (d *DB) restoreCheckpoint(ckpt checkpointWire) error {
 // replay applies the log tail past the checkpoint. It returns where the
 // log continues: the next record index and, when the last segment's
 // valid prefix ends exactly there, that segment as the active one to
-// keep appending into (already truncated to its valid bytes). A segment
-// that begins past the next index is a gap: the records in between are
-// lost (a fallback to an older checkpoint after the newer one truncated
-// the log, or outside damage, since a rotation syncs the old segment
-// before it creates the next). replay then fails before any file is
-// modified, rather than recover a state that drops acknowledged
-// records.
+// keep appending into (already truncated to its valid bytes). Segments
+// the checkpoint covers are skipped unread. A segment that begins past
+// the next index is a gap: the records in between are lost (a fallback
+// to a checkpoint older than the log reaches, or outside damage, since a
+// rotation syncs the old segment before it creates the next). replay
+// then fails before any file is modified, rather than recover a state
+// that drops acknowledged records.
 func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath string, activeBase, activeCount uint64, activeEnd int64, err error) {
 	segs, err := listSegments(d.dir)
 	if err != nil {
@@ -246,13 +246,18 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 	}
 	nextIndex = applied + 1
 	stopped := false // a torn record or gap ended the usable log
-	for _, s := range segs {
+	for i, s := range segs {
 		if stopped {
 			// Unreachable past the tear: discard so a later boot cannot
 			// resurrect records beyond the recovered prefix.
 			if err := os.Remove(s.path); err != nil {
 				return 0, "", 0, 0, 0, fmt.Errorf("wal: removing unreachable segment: %w", err)
 			}
+			continue
+		}
+		if i+1 < len(segs) && segs[i+1].base <= nextIndex {
+			// Covered by the checkpoint, as the next segment begins within
+			// it: skipped unread, so damage in it costs nothing.
 			continue
 		}
 		base, payloads, validEnd, intact, ok, err := readSegment(s.path)
@@ -272,8 +277,8 @@ func (d *DB) replay(applied uint64, rec *Recovery) (nextIndex uint64, activePath
 			}
 			continue
 		case end <= nextIndex && intact:
-			// Entirely covered by the checkpoint; reclaimed next
-			// checkpoint.
+			// Entirely covered by the checkpoint; the log may continue
+			// in it.
 			activePath, activeBase, activeCount, activeEnd = s.path, base, uint64(len(payloads)), validEnd
 			continue
 		case base > nextIndex:
@@ -469,10 +474,10 @@ func encodeEstimator(est build.Estimator) ([]byte, error) {
 // Checkpoint captures the engine's exact state — counts plus every
 // engine synopsis as its codec wire bytes (every registered method is
 // serializable) — and the declared specs as spec-only entries, writes
-// it as an atomically-renamed checkpoint file, and truncates the
-// superseded log segments. Mutations are blocked only while the state
-// is captured and the log rotated; serialization and file I/O run
-// outside the mutation mutex.
+// it as an atomically-renamed checkpoint file, prunes old checkpoints
+// and truncates the log segments no retained one needs. Mutations are
+// blocked only while the state is captured and the log rotated;
+// serialization and file I/O run outside the mutation mutex.
 func (d *DB) Checkpoint() error {
 	_, span := obs.Start(context.Background(), "wal.checkpoint")
 	span.OnEnd(walCheckpointSeconds.Observe)
@@ -513,10 +518,12 @@ func (d *DB) Checkpoint() error {
 	d.stats.checkpoints.Add(1)
 	d.stats.lastCkpt.Store(time.Now().UnixNano())
 	d.stats.sinceCkpt.Store(int64(d.log.LastIndex() - applied))
-	if _, err := d.log.TruncateThrough(applied); err != nil {
+	oldest, err := pruneCheckpoints(d.dir, d.opt.KeepCheckpoints)
+	if err != nil {
 		return err
 	}
-	return pruneCheckpoints(d.dir, d.opt.KeepCheckpoints)
+	_, err = d.log.TruncateThrough(oldest)
+	return err
 }
 
 // MaybeCheckpoint checkpoints when at least CheckpointEvery records

@@ -169,7 +169,9 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 
 func TestCheckpointTruncatesLogAndSkipsReplay(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := openT(t, dir, Options{Domain: 16, SegmentBytes: 64})
+	// One retained checkpoint: the log is truncated through the
+	// checkpoint itself, not back to an older generation.
+	db, _ := openT(t, dir, Options{Domain: 16, SegmentBytes: 64, KeepCheckpoints: 1})
 	for i := 0; i < 20; i++ {
 		if err := db.Insert(i%16, 1); err != nil {
 			t.Fatal(err)
@@ -386,8 +388,8 @@ func TestSegmentBaseMismatchStopsReplay(t *testing.T) {
 }
 
 // corruptNewestCheckpoint flips the last byte of dir's newest
-// checkpoint and returns its intact bytes and path.
-func corruptNewestCheckpoint(t *testing.T, dir string) (string, []byte) {
+// checkpoint.
+func corruptNewestCheckpoint(t *testing.T, dir string) {
 	t.Helper()
 	cks, err := listCheckpoints(dir)
 	if err != nil {
@@ -406,7 +408,6 @@ func corruptNewestCheckpoint(t *testing.T, dir string) (string, []byte) {
 	if err := os.WriteFile(newest, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return newest, buf
 }
 
 // wantGapRefused opens dir twice and checks that each open fails on the
@@ -430,13 +431,12 @@ func wantGapRefused(t *testing.T, dir string, missing int) {
 }
 
 // TestCorruptNewestCheckpointFallsBackOneGeneration damages the newer of
-// two checkpoints. The fallback to the older one is lossless only while
-// the log still reaches back to it: once the newer checkpoint truncated
-// the log, Open refuses and modifies no file; with the truncated segment
-// written back, as after a crash between the newer checkpoint's rename
-// and its truncation, recovery replays it and loses nothing.
+// two checkpoints. The newer checkpoint keeps the log back to the older
+// one, so recovery falls back to it and replays the record in between.
+// Once that segment is gone, as after outside damage, Open refuses and
+// modifies no file.
 func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
-	setup := func(t *testing.T) (dir, seg string, segBytes []byte, want []int64) {
+	setup := func(t *testing.T) (dir, seg string, want []int64) {
 		dir = t.TempDir()
 		db, _ := openT(t, dir, Options{Domain: 8})
 		if err := db.Insert(1, 5); err != nil {
@@ -449,35 +449,32 @@ func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Record 2 sits in the active segment, which the next checkpoint
-		// rotates away and truncates.
+		// rotates away but keeps for the older checkpoint.
 		segs, err := listSegments(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seg = segs[len(segs)-1].path
-		if segBytes, err = os.ReadFile(seg); err != nil {
-			t.Fatal(err)
-		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		want = db.Engine().Counts()
 		closeT(t, db)
-		if _, err := os.Stat(seg); !os.IsNotExist(err) {
-			t.Fatalf("checkpoint kept the covered segment: %v", err)
+		if _, err := os.Stat(seg); err != nil {
+			t.Fatalf("checkpoint removed the segment the older checkpoint needs: %v", err)
 		}
 		corruptNewestCheckpoint(t, dir)
-		return dir, seg, segBytes, want
+		return dir, seg, want
 	}
 	t.Run("truncated log refuses", func(t *testing.T) {
-		dir, _, _, _ := setup(t)
+		dir, seg, _ := setup(t)
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
 		wantGapRefused(t, dir, 2)
 	})
 	t.Run("restored log falls back", func(t *testing.T) {
-		dir, seg, segBytes, want := setup(t)
-		if err := os.WriteFile(seg, segBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir, _, want := setup(t)
 		db, rec := openT(t, dir, Options{})
 		defer closeT(t, db)
 		if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) {
@@ -491,9 +488,10 @@ func TestCorruptNewestCheckpointFallsBackOneGeneration(t *testing.T) {
 
 // TestDamagedCheckpointKeepsAcknowledgedTail is the lost-tail
 // reproduction: three records acknowledged after the newest checkpoint
-// must not be deleted when that checkpoint is damaged. Both opens refuse
-// and leave every file byte-identical, so mending the checkpoint file
-// recovers every acknowledged record.
+// must survive that checkpoint's damage. The log still reaches back to
+// the older checkpoint, so recovery falls back one generation and
+// replays every acknowledged record, with the newest checkpoint still
+// damaged.
 func TestDamagedCheckpointKeepsAcknowledgedTail(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openT(t, dir, Options{Domain: 8})
@@ -513,14 +511,151 @@ func TestDamagedCheckpointKeepsAcknowledgedTail(t *testing.T) {
 	closeT(t, db)
 	want := []int64{0, 5, 7, 1, 1, 1, 0, 0}
 
-	path, intact := corruptNewestCheckpoint(t, dir)
-	wantGapRefused(t, dir, 2)
-
-	step(os.WriteFile(path, intact, 0o644))
+	corruptNewestCheckpoint(t, dir)
 	db, rec := openT(t, dir, Options{})
 	defer closeT(t, db)
-	if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) || rec.Torn {
-		t.Fatalf("recovered %v (torn=%v), want %v", got, rec.Torn, want)
+	if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) || rec.Torn || rec.Checkpoint != 1 || rec.Replayed != 4 {
+		t.Fatalf("recovered %v (%+v), want %v from checkpoint 1 plus 4 replayed records", got, rec, want)
+	}
+}
+
+// checkpointedTail writes two checkpoints with record 2 between them,
+// then three more records, and returns the counts it acknowledged.
+func checkpointedTail(t *testing.T, db *DB) []int64 {
+	t.Helper()
+	for _, step := range []func() error{
+		func() error { return db.Insert(1, 5) }, db.Checkpoint,
+		func() error { return db.Insert(2, 7) }, db.Checkpoint,
+		func() error { return db.Insert(3, 1) }, func() error { return db.Insert(4, 1) }, func() error { return db.Insert(5, 1) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db.Engine().Counts()
+}
+
+// flipByte flips the byte at offset off of path, counted from the end
+// when negative.
+func flipByte(t *testing.T, path string, off int) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		off += len(buf)
+	}
+	buf[off] ^= 0xff
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedCoveredSegmentKeepsTail damages the segment kept between
+// two checkpoints, in a record or in its header. The newest checkpoint
+// covers it, so recovery skips it: the newest checkpoint and every
+// record after it come back, nothing is torn, and no segment changes.
+func TestDamagedCoveredSegmentKeepsTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  int
+	}{{"record", -1}, {"header", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, _ := openT(t, dir, Options{Domain: 8})
+			want := checkpointedTail(t, db)
+			closeT(t, db)
+			segs, err := listSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) != 2 || segs[0].base != 2 || segs[1].base != 3 {
+				t.Fatalf("segments %+v, want record 2's segment kept for checkpoint 1, then the tail's", segs)
+			}
+			flipByte(t, segs[0].path, tc.off)
+			before := dirFiles(t, dir)
+			db, rec := openT(t, dir, Options{})
+			defer closeT(t, db)
+			if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) || rec.Torn || rec.Checkpoint != 2 || rec.Replayed != 3 {
+				t.Fatalf("recovered %v (%+v), want %v from checkpoint 2 plus 3 replayed records", got, rec, want)
+			}
+			after := dirFiles(t, dir)
+			for _, s := range segs {
+				name := filepath.Base(s.path)
+				if !bytes.Equal(after[name], before[name]) {
+					t.Fatalf("recovery changed segment %s", name)
+				}
+			}
+		})
+	}
+}
+
+// TestDamagedCheckpointIsNoGeneration falls back past a damaged newest
+// checkpoint twice. The checkpoint written after the first fallback
+// keeps the intact older one, not the damaged one, and the log back to
+// it, so damaging the new checkpoint too still recovers every record.
+func TestDamagedCheckpointIsNoGeneration(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 8})
+	checkpointedTail(t, db)
+	closeT(t, db)
+	corruptNewestCheckpoint(t, dir)
+	db, _ = openT(t, dir, Options{})
+	if err := db.Insert(6, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := db.Engine().Counts()
+	closeT(t, db)
+	cks, err := listCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) != 2 || cks[0].base != 1 || cks[1].base != 6 {
+		t.Fatalf("checkpoints %+v, want the intact checkpoint 1 and the new 6", cks)
+	}
+	corruptNewestCheckpoint(t, dir)
+	db, rec := openT(t, dir, Options{})
+	defer closeT(t, db)
+	if got := db.Engine().Counts(); !reflect.DeepEqual(got, want) || rec.Torn || rec.Checkpoint != 1 || rec.Replayed != 5 {
+		t.Fatalf("recovered %v (%+v), want %v from checkpoint 1 plus 5 replayed records", got, rec, want)
+	}
+}
+
+// TestCheckpointKeepsLogForOlderGeneration checkpoints three times under
+// the default options: the log is removed through the oldest retained
+// checkpoint, and kept from there on.
+func TestCheckpointKeepsLogForOlderGeneration(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: 8})
+	defer closeT(t, db)
+	for v := 1; v <= 3; v++ {
+		if err := db.Insert(v, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert(4, 1); err != nil {
+		t.Fatal(err)
+	}
+	cks, err := listCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) != 2 || cks[0].base != 2 || cks[1].base != 3 {
+		t.Fatalf("checkpoints %+v, want 2 and 3", cks)
+	}
+	if len(segs) != 2 || segs[0].base != 3 || segs[1].base != 4 {
+		t.Fatalf("segments %+v, want records 1 and 2 removed, 3 kept for checkpoint 2, 4 active", segs)
 	}
 }
 
