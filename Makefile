@@ -39,7 +39,7 @@ fuzz-smoke:
 cover:
 	$(GO) test -short -coverprofile=cover.out -coverpkg=./... ./...
 	$(GO) run ./scripts/coverfloor -profile cover.out -floor 70 \
-		rangeagg/internal/serve rangeagg/internal/oracle rangeagg/internal/codec \
+		rangeagg rangeagg/internal/serve rangeagg/internal/oracle rangeagg/internal/codec \
 		rangeagg/internal/wal rangeagg/internal/obs rangeagg/internal/plan \
 		rangeagg/internal/segment rangeagg/internal/cluster \
 		rangeagg/internal/reopt rangeagg/internal/ingest \

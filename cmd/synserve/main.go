@@ -135,7 +135,7 @@ func main() {
 	}
 
 	if *follow != "" {
-		follower := &cluster.Follower{Primary: *follow, Server: srv, Every: *followEv, AdoptSpecs: true}
+		follower := &cluster.Follower{Primary: *follow, Server: srv, Every: *followEv}
 		follower.Start()
 		defer follower.Stop()
 		fmt.Fprintf(os.Stderr, "synserve: replicating from %s every %s\n", follower.Primary, *followEv)

@@ -195,7 +195,7 @@ func TestServeHTTPSnapshotConsistencyUnderRebuildStorm(t *testing.T) {
 		// exactly, so synopsis answers are version-checkable too.
 		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 2 * domain}},
 	}
-	srv, err := serve.New(eng, specs, serve.Config{Debounce: time.Millisecond, MaxLag: 5 * time.Millisecond, FanOut: 16})
+	srv, err := serve.New(eng, specs, serve.Config{Debounce: time.Millisecond, MaxLag: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,13 @@ func TestServeHTTPSnapshotConsistencyUnderRebuildStorm(t *testing.T) {
 
 	// Batches of width-4 exact counts plus the full-domain count: with
 	// every value equal to k, answers must be 4k and 64k from the same k.
+	// Eight passes over the domain make 129 ranges, past the serving
+	// layer's fan-out threshold (128).
 	ranges := [][2]int{{0, 63}}
-	for a := 0; a < domain; a += 4 {
-		ranges = append(ranges, [2]int{a, a + 3})
+	for pass := 0; pass < 8; pass++ {
+		for a := 0; a < domain; a += 4 {
+			ranges = append(ranges, [2]int{a, a + 3})
+		}
 	}
 	check := func(kind string, values []float64) {
 		k := values[0] / float64(domain)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"rangeagg/internal/histogram"
 )
 
 // TestCodecNeverPanicsOnCorruption flips random bytes in serialized
@@ -47,47 +45,6 @@ func TestCodecNeverPanicsOnCorruption(t *testing.T) {
 			// If it decoded, metadata access must also be safe.
 			_ = s.Name()
 			_ = s.StorageWords()
-		}()
-	}
-}
-
-// TestBinaryCodecNeverPanicsOnCorruption does the same for the compact
-// binary histogram format.
-func TestBinaryCodecNeverPanicsOnCorruption(t *testing.T) {
-	counts, err := ZipfCounts(30, 1.5, 200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := Build(counts, Options{Method: A0, BudgetWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg, ok := syn.(*histogram.Avg)
-	if !ok {
-		t.Fatalf("unexpected type %T", syn)
-	}
-	var buf bytes.Buffer
-	if err := histogram.WriteBinary(&buf, avg); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	rng := rand.New(rand.NewSource(192))
-	for trial := 0; trial < 500; trial++ {
-		corrupt := append([]byte(nil), raw...)
-		for f := 0; f < 1+rng.Intn(6); f++ {
-			corrupt[rng.Intn(len(corrupt))] ^= byte(1 + rng.Intn(255))
-		}
-		// Also try truncation.
-		if rng.Intn(3) == 0 {
-			corrupt = corrupt[:rng.Intn(len(corrupt))]
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("trial %d: ReadBinary panicked: %v", trial, r)
-				}
-			}()
-			_, _ = histogram.ReadBinary(bytes.NewReader(corrupt))
 		}()
 	}
 }

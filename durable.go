@@ -3,9 +3,7 @@ package rangeagg
 import (
 	"time"
 
-	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
-	"rangeagg/internal/sse"
 	"rangeagg/internal/wal"
 )
 
@@ -64,9 +62,12 @@ type DurabilityStats struct {
 // mutation is appended to a write-ahead log in the data directory before
 // the call returns, checkpoints bound the replay debt, and OpenDurable
 // recovers the exact pre-crash state (counts bit-exactly, serializable
-// synopses bit-identically). Mutations must go through the Durable
-// methods; queries read the warm in-memory engine directly.
+// synopses bit-identically). Mutations go through the Durable methods,
+// which log them; the reads are Engine's, over the warm in-memory
+// engine. Durable has no SetAutoRefresh, so no read rebuilds a synopsis
+// behind the log.
 type Durable struct {
+	reader
 	db  *wal.DB
 	rec RecoveryInfo
 }
@@ -92,8 +93,9 @@ func OpenDurable(dir string, opt DurableOptions) (*Durable, error) {
 		return nil, err
 	}
 	return &Durable{
-		db:  db,
-		rec: RecoveryInfo{Fresh: rec.Fresh, Replayed: rec.Replayed, Torn: rec.Torn},
+		reader: reader{db.Engine()},
+		db:     db,
+		rec:    RecoveryInfo{Fresh: rec.Fresh, Replayed: rec.Replayed, Torn: rec.Torn},
 	}, nil
 }
 
@@ -116,21 +118,11 @@ func (d *Durable) Load(counts []int64) error { return d.db.Load(counts) }
 // BuildSynopsis durably constructs and registers a synopsis; recovery
 // replays the build against the same counts, reproducing it exactly.
 func (d *Durable) BuildSynopsis(name string, metric Metric, opt Options) error {
-	im, err := opt.Method.resolve()
+	bo, err := opt.toBuild()
 	if err != nil {
 		return err
 	}
-	_, err = d.db.BuildSynopsis(name, engine.Metric(metric), build.Options{
-		Method:      im,
-		BudgetWords: opt.BudgetWords,
-		Reopt:       opt.Reopt,
-		Seed:        opt.Seed,
-		Epsilon:     opt.Epsilon,
-		RoundedX:    opt.RoundedX,
-		MaxStates:   opt.MaxStates,
-		CoarsenTo:   opt.CoarsenTo,
-		LocalSearch: opt.LocalSearch,
-	})
+	_, err = d.db.BuildSynopsis(name, engine.Metric(metric), bo)
 	return err
 }
 
@@ -148,7 +140,7 @@ func (d *Durable) MergeFrom(other *Engine, name string) error {
 	inner := other.inner
 	o, err := inner.Synopsis(name)
 	if err != nil {
-		return err
+		return wrapEngineErr(err)
 	}
 	_, err = d.db.AbsorbShard(name, inner.Counts(), o.Metric, o.Options, o.Est)
 	return err
@@ -176,47 +168,3 @@ func (d *Durable) Stats() DurabilityStats {
 // Close syncs and closes the log. The in-memory engine keeps answering
 // queries; further mutations fail.
 func (d *Durable) Close() error { return d.db.Close() }
-
-// Domain returns the attribute domain size.
-func (d *Durable) Domain() int { return d.db.Engine().Domain() }
-
-// Records returns the total number of records.
-func (d *Durable) Records() int64 { return d.db.Engine().Records() }
-
-// Counts returns a copy of the current distribution.
-func (d *Durable) Counts() []int64 { return d.db.Engine().Counts() }
-
-// ExactCount answers COUNT(*) WHERE a ≤ attr ≤ b exactly.
-func (d *Durable) ExactCount(a, b int) int64 { return d.db.Engine().ExactCount(a, b) }
-
-// ExactSum answers SUM(attr) WHERE a ≤ attr ≤ b exactly.
-func (d *Durable) ExactSum(a, b int) int64 { return d.db.Engine().ExactSum(a, b) }
-
-// Approx answers a range aggregate from a named synopsis.
-func (d *Durable) Approx(name string, a, b int) (float64, error) {
-	return d.db.Engine().Approx(name, a, b)
-}
-
-// ApproxBatch answers a batch of range aggregates from one synopsis.
-func (d *Durable) ApproxBatch(name string, queries []Range) ([]float64, error) {
-	qs := make([]sse.Range, len(queries))
-	for i, q := range queries {
-		qs[i] = sse.Range{A: q.A, B: q.B}
-	}
-	return d.db.Engine().ApproxBatch(name, qs)
-}
-
-// SynopsisNames lists the registered synopsis names, sorted.
-func (d *Durable) SynopsisNames() []string {
-	list := d.db.Engine().Synopses()
-	out := make([]string, len(list))
-	for i, s := range list {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// Describe reports metadata for a registered synopsis.
-func (d *Durable) Describe(name string) (SynopsisInfo, error) {
-	return (&Engine{inner: d.db.Engine()}).Describe(name)
-}

@@ -1,7 +1,6 @@
 package rangeagg
 
 import (
-	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
 	"rangeagg/internal/sse"
 )
@@ -25,6 +24,13 @@ func (m Metric) String() string { return engine.Metric(m).String() }
 // selectivity-estimation substrate the paper assumes. It is safe for
 // concurrent use.
 type Engine struct {
+	reader
+}
+
+// reader is the read side Engine and Durable share: the queries and
+// descriptions of one internal engine, each failing an unknown
+// synopsis name with *UnknownSynopsisError.
+type reader struct {
 	inner *engine.Engine
 }
 
@@ -34,7 +40,7 @@ func NewEngine(name string, domain int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inner: e}, nil
+	return &Engine{reader{e}}, nil
 }
 
 // Load bulk-inserts counts per attribute value; len(counts) must equal the
@@ -52,39 +58,30 @@ func (e *Engine) Delete(value int, occurrences int64) error {
 }
 
 // Domain returns the attribute domain size.
-func (e *Engine) Domain() int { return e.inner.Domain() }
+func (e *reader) Domain() int { return e.inner.Domain() }
 
 // Records returns the total number of records.
-func (e *Engine) Records() int64 { return e.inner.Records() }
+func (e *reader) Records() int64 { return e.inner.Records() }
 
 // Counts returns a copy of the current distribution.
-func (e *Engine) Counts() []int64 { return e.inner.Counts() }
+func (e *reader) Counts() []int64 { return e.inner.Counts() }
 
 // ExactCount answers COUNT(*) WHERE a ≤ attr ≤ b exactly, with the range
 // clamped to the domain.
-func (e *Engine) ExactCount(a, b int) int64 { return e.inner.ExactCount(a, b) }
+func (e *reader) ExactCount(a, b int) int64 { return e.inner.ExactCount(a, b) }
 
 // ExactSum answers SUM(attr) WHERE a ≤ attr ≤ b exactly.
-func (e *Engine) ExactSum(a, b int) int64 { return e.inner.ExactSum(a, b) }
+func (e *reader) ExactSum(a, b int) int64 { return e.inner.ExactSum(a, b) }
 
-// BuildSynopsis constructs and registers a synopsis under the given name,
-// replacing any existing one.
+// BuildSynopsis constructs and registers a synopsis under the given
+// name, replacing any existing one. Rebuilding an unchanged spec on
+// unchanged data keeps the registered synopsis.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt Options) error {
-	im, err := opt.Method.resolve()
+	bo, err := opt.toBuild()
 	if err != nil {
 		return err
 	}
-	_, err = e.inner.BuildSynopsis(name, engine.Metric(metric), build.Options{
-		Method:      im,
-		BudgetWords: opt.BudgetWords,
-		Reopt:       opt.Reopt,
-		Seed:        opt.Seed,
-		Epsilon:     opt.Epsilon,
-		RoundedX:    opt.RoundedX,
-		MaxStates:   opt.MaxStates,
-		CoarsenTo:   opt.CoarsenTo,
-		LocalSearch: opt.LocalSearch,
-	})
+	_, err = e.inner.BuildSynopsis(name, engine.Metric(metric), bo)
 	return err
 }
 
@@ -92,7 +89,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt Options) error {
 func (e *Engine) DropSynopsis(name string) bool { return e.inner.DropSynopsis(name) }
 
 // SynopsisNames lists the registered synopsis names, sorted.
-func (e *Engine) SynopsisNames() []string {
+func (e *reader) SynopsisNames() []string {
 	list := e.inner.Synopses()
 	out := make([]string, len(list))
 	for i, s := range list {
@@ -119,7 +116,7 @@ type SynopsisInfo struct {
 }
 
 // Describe reports metadata for a registered synopsis.
-func (e *Engine) Describe(name string) (SynopsisInfo, error) {
+func (e *reader) Describe(name string) (SynopsisInfo, error) {
 	s, err := e.inner.Synopsis(name)
 	if err != nil {
 		return SynopsisInfo{}, wrapEngineErr(err)
@@ -148,7 +145,7 @@ func (e *Engine) MergeFrom(other *Engine, name string) error {
 
 // Approx answers a range aggregate from a named synopsis; the range is
 // clamped to the domain. An unknown name yields *UnknownSynopsisError.
-func (e *Engine) Approx(name string, a, b int) (float64, error) {
+func (e *reader) Approx(name string, a, b int) (float64, error) {
 	v, err := e.inner.Approx(name, a, b)
 	return v, wrapEngineErr(err)
 }
@@ -167,7 +164,7 @@ type ApproxAnswer struct {
 // the synopsis's per-range error bound, computed at build time against
 // the data the synopsis summarized. A fully-outside range returns the
 // exact answer 0 with a zero bound.
-func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
+func (e *reader) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 	ans, err := e.inner.ApproxWithError(name, a, b)
 	if err != nil {
 		return ApproxAnswer{}, wrapEngineErr(err)
@@ -181,7 +178,7 @@ func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 // than per-query calls; every answer comes from the same estimator even
 // if the synopsis is rebuilt concurrently. Ranges are clamped to the
 // domain.
-func (e *Engine) ApproxBatch(name string, queries []Range) ([]float64, error) {
+func (e *reader) ApproxBatch(name string, queries []Range) ([]float64, error) {
 	qs := make([]sse.Range, len(queries))
 	for i, q := range queries {
 		qs[i] = sse.Range{A: q.A, B: q.B}
@@ -190,7 +187,8 @@ func (e *Engine) ApproxBatch(name string, queries []Range) ([]float64, error) {
 	return vs, wrapEngineErr(err)
 }
 
-// Refresh rebuilds a registered synopsis from the current data.
+// Refresh brings a registered synopsis up to date with the current
+// data, keeping it as is when nothing changed since it was built.
 func (e *Engine) Refresh(name string) error {
 	_, err := e.inner.Refresh(name)
 	return wrapEngineErr(err)
@@ -198,7 +196,7 @@ func (e *Engine) Refresh(name string) error {
 
 // Report evaluates a synopsis's error over a workload against the current
 // exact data.
-func (e *Engine) Report(name string, queries []Range) (Metrics, error) {
+func (e *reader) Report(name string, queries []Range) (Metrics, error) {
 	qs := make([]sse.Range, len(queries))
 	for i, q := range queries {
 		qs[i] = sse.Range{A: q.A, B: q.B}
@@ -213,7 +211,7 @@ func (e *Engine) Report(name string, queries []Range) (Metrics, error) {
 
 // SynopsisSSE returns the exact SSE of a registered synopsis over all
 // ranges of the current data.
-func (e *Engine) SynopsisSSE(name string) (float64, error) {
+func (e *reader) SynopsisSSE(name string) (float64, error) {
 	v, err := e.inner.SSE(name)
 	return v, wrapEngineErr(err)
 }
@@ -235,7 +233,7 @@ type ProgressiveStep struct {
 // Progressive answers a range aggregate in the online-aggregation style:
 // step 0 is the instant synopsis estimate, later steps refine it by exact
 // scanning, and the final step is exact.
-func (e *Engine) Progressive(name string, a, b, chunks int) ([]ProgressiveStep, error) {
+func (e *reader) Progressive(name string, a, b, chunks int) ([]ProgressiveStep, error) {
 	steps, err := e.inner.Progressive(name, a, b, chunks)
 	if err != nil {
 		return nil, wrapEngineErr(err)

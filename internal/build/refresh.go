@@ -11,13 +11,6 @@ import (
 // reusedTotal counts whole synopses a Refresh carried over unchanged.
 var reusedTotal = obs.Default.Counter("rangeagg_synopsis_reused_total")
 
-// CanRebuild reports whether opt's method supports partial rebuilds
-// (has a registry Rebuild hook).
-func CanRebuild(opt Options) bool {
-	d, err := method.Lookup(opt.Method)
-	return err == nil && d.Rebuild != nil
-}
-
 // DefaultApproxCutover is the domain size at and above which a full
 // refresh substitutes a method's (1+ε)-approximate counterpart for its
 // exact construction: below it the quadratic DPs finish in milliseconds

@@ -28,9 +28,6 @@ type Follower struct {
 	// Client is the HTTP client (default: 30s timeout — checkpoints can
 	// be large).
 	Client *http.Client
-	// AdoptSpecs registers synopsis specs from the checkpoint that the
-	// replica lacks (default behavior for bare replicas).
-	AdoptSpecs bool
 
 	applied   uint64 // last installed checkpoint index
 	installed bool   // at least one successful install
@@ -121,7 +118,7 @@ func (f *Follower) PullOnce() error {
 	if err != nil {
 		return fmt.Errorf("decoding checkpoint: %w", err)
 	}
-	if err := f.Server.InstallCheckpoint(ck, f.AdoptSpecs); err != nil {
+	if err := f.Server.InstallCheckpoint(ck); err != nil {
 		return fmt.Errorf("installing checkpoint: %w", err)
 	}
 	f.applied = ck.Applied

@@ -72,7 +72,7 @@ func TestFollowerReplication(t *testing.T) {
 	}
 
 	replica := startReplica(t, domain)
-	f := &Follower{Primary: ts.URL, Server: replica, AdoptSpecs: true,
+	f := &Follower{Primary: ts.URL, Server: replica,
 		Client: ts.Client(), Every: time.Hour}
 	f.Primary = normalizeAddr(f.Primary)
 
@@ -134,7 +134,7 @@ func TestFollowerHealthReporting(t *testing.T) {
 	}
 
 	replica := startReplica(t, domain)
-	f := &Follower{Primary: ts.URL, Server: replica, AdoptSpecs: true, Every: time.Hour}
+	f := &Follower{Primary: ts.URL, Server: replica, Every: time.Hour}
 	f.Start()
 	defer f.Stop()
 
@@ -190,17 +190,17 @@ func TestInstallCheckpointRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := primary.InstallCheckpoint(ck, true); err == nil || !strings.Contains(err.Error(), "durable") {
+	if err := primary.InstallCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "durable") {
 		t.Fatalf("durable node must refuse an install, got %v", err)
 	}
 
 	wrong := startReplica(t, 32)
-	if err := wrong.InstallCheckpoint(ck, true); err == nil || !strings.Contains(err.Error(), "domain") {
+	if err := wrong.InstallCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "domain") {
 		t.Fatalf("domain mismatch must be rejected, got %v", err)
 	}
 
 	right := startReplica(t, 64)
-	if err := right.InstallCheckpoint(ck, true); err != nil {
+	if err := right.InstallCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}
 	if got := exactCount(t, right, 0, 63); got != 1 {

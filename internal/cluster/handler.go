@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"rangeagg/internal/parallel"
 	"rangeagg/internal/serve"
 )
 
@@ -184,8 +183,8 @@ func (r *Router) forwardLoad(req *http.Request, counts []int64) ([]string, error
 	})
 }
 
-// forwardToPrimaries POSTs each node's body to its primary on the
-// bounded pool; any failure fails the whole request (writes have no
+// forwardToPrimaries POSTs each node's body to its primary, all at
+// once (fanOut); any failure fails the whole request (writes have no
 // partial-answer mode — the caller retries).
 func (r *Router) forwardToPrimaries(req *http.Request, path string, body func(i int) (any, bool)) ([]string, error) {
 	errs := make([]error, len(r.topo.Nodes))
@@ -200,7 +199,7 @@ func (r *Router) forwardToPrimaries(req *http.Request, path string, body func(i 
 		sent[i] = true
 		tasks = append(tasks, func() { errs[i] = r.call(req.Context(), r.topo.Nodes[i].Addr, path, b, nil) })
 	}
-	parallel.Do(tasks...)
+	fanOut(tasks...)
 	var applied []string
 	for i, n := range r.topo.Nodes {
 		if !sent[i] {

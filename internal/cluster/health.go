@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rangeagg/internal/obs"
-	"rangeagg/internal/parallel"
 	"rangeagg/internal/serve"
 )
 
@@ -54,8 +53,8 @@ func newHealthTracker(topo *Topology, client *http.Client) *healthTracker {
 	return &healthTracker{topo: topo, client: client, state: make(map[string]NodeHealth)}
 }
 
-// checkAll sweeps every endpoint concurrently on the bounded pool and
-// refreshes the replica-lag gauges.
+// checkAll probes every endpoint at once (fanOut) and refreshes the
+// replica-lag gauges.
 func (h *healthTracker) checkAll() {
 	type target struct{ node, endpoint string }
 	var targets []target
@@ -71,7 +70,7 @@ func (h *healthTracker) checkAll() {
 		i := i
 		tasks[i] = func() { results[i] = h.probe(targets[i].endpoint) }
 	}
-	parallel.Do(tasks...)
+	fanOut(tasks...)
 
 	h.mu.Lock()
 	for _, r := range results {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rangeagg/internal/obs"
-	"rangeagg/internal/parallel"
 	"rangeagg/internal/plan"
 	"rangeagg/internal/serve"
 )
@@ -287,6 +286,24 @@ type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
 
+// fanOut runs each task on its own goroutine and returns once all have
+// finished. The router's tasks are network calls that wait rather than
+// compute, so they stay off the CPU pool (internal/parallel): there
+// they would queue for its few workers, and a hung node's timeout would
+// hold back every call behind it. Callers bound the tasks by the
+// topology's nodes or endpoints.
+func fanOut(tasks ...func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(tasks))
+	for _, task := range tasks {
+		go func() {
+			defer wg.Done()
+			task()
+		}()
+	}
+	wg.Wait()
+}
+
 // Route answers one query across the cluster. The merged value is the
 // sum of the per-window answers (exact by cum-diff composition over the
 // disjoint windows); the merged bound is the sum of the per-window
@@ -324,7 +341,7 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 		i := i
 		tasks[i] = func() { answers[i], versions[i], reports[i] = r.subQuery(ctx, q, parts[i], budgets[i]) }
 	}
-	parallel.Do(tasks...)
+	fanOut(tasks...)
 
 	var ok0 []plan.Answer
 	var firstErr string
@@ -550,7 +567,7 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 			answers[ni], reports[ni] = r.batchNode(ctx, ni, synopsis, metric, subRanges, budget)
 		})
 	}
-	parallel.Do(tasks...)
+	fanOut(tasks...)
 
 	var firstErr string
 	anyServed := false

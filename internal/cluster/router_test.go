@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/parallel"
 	"rangeagg/internal/serve"
 )
 
@@ -25,6 +27,14 @@ func clusterSpecs() []engine.SynopsisSpec {
 // coordinates everywhere, no translation).
 func startNode(t *testing.T, counts []int64, w Window) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(nodeHandler(t, counts, w))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// nodeHandler is startNode's node before it listens.
+func nodeHandler(t *testing.T, counts []int64, w Window) http.Handler {
+	t.Helper()
 	eng, err := engine.New("node", len(counts))
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +49,8 @@ func startNode(t *testing.T, counts []int64, w Window) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(serve.NewHandler(s, serve.NewMetrics()))
-	t.Cleanup(func() { ts.Close(); s.Close() })
-	return ts
+	t.Cleanup(s.Close)
+	return serve.NewHandler(s, serve.NewMetrics())
 }
 
 // evenWindows splits [0,domain) into k contiguous windows.
@@ -441,5 +450,50 @@ func TestRouterOutsideDomain(t *testing.T) {
 	}
 	if res.Partial || res.Answer.Value != 0 || res.Answer.Bound != 0 || !res.Answer.Rigorous {
 		t.Fatalf("out-of-domain range must answer an exact zero: %+v", res.Answer)
+	}
+}
+
+// TestRouterFanOutOffCPUPool pins that a routed query's sub-requests
+// wait on their nodes concurrently even with a one-worker CPU pool: two
+// nodes that each answer after 200 ms must serve a spanning query and a
+// spanning batch in well under the 400 ms a serial fan-out takes.
+func TestRouterFanOutOffCPUPool(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const n, delay = 64, 200 * time.Millisecond
+	counts := testDistributions(t, n)["uniform"]
+	windows := evenWindows(n, 2)
+	nodes := make([]Node, len(windows))
+	for i, w := range windows {
+		node := nodeHandler(t, counts, w)
+		slow := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			time.Sleep(delay)
+			node.ServeHTTP(rw, req)
+		}))
+		t.Cleanup(slow.Close)
+		nodes[i] = Node{ID: fmt.Sprintf("n%d", i), Addr: slow.URL, Window: w}
+	}
+	topo := &Topology{Domain: n, Nodes: nodes}
+	if err := topo.validate(); err != nil {
+		t.Fatal(err)
+	}
+	router := NewRouter(topo, RouterConfig{HealthEvery: -1, Backoff: time.Millisecond})
+	t.Cleanup(router.Close)
+
+	zero := 0.0
+	start := time.Now()
+	res, err := router.Route(context.Background(), Query{Metric: "COUNT", A: 0, B: n - 1, MaxErr: &zero})
+	if err != nil || res.Partial {
+		t.Fatalf("route: %v (partial %v)", err, res.Partial)
+	}
+	if took := time.Since(start); took >= 300*time.Millisecond {
+		t.Errorf("Route over two %v nodes took %v", delay, took)
+	}
+	start = time.Now()
+	batch, err := router.RouteBatch(context.Background(), "", "COUNT", [][2]int{{0, n - 1}, {5, 40}}, &zero)
+	if err != nil || batch.Partial {
+		t.Fatalf("batch: %v (partial %v)", err, batch.Partial)
+	}
+	if took := time.Since(start); took >= 300*time.Millisecond {
+		t.Errorf("RouteBatch over two %v nodes took %v", delay, took)
 	}
 }

@@ -2,8 +2,8 @@
 // scalable system: a static topology assigns each synserve node an
 // owned window of the attribute domain (plus optional replicas fed by
 // checkpoint replication), and a stateless router splits every range
-// query across the owning nodes, fans the sub-queries out on the
-// bounded pool, and merges the answers exactly.
+// query across the owning nodes, sends the sub-queries to all of them
+// at once, and merges the answers exactly.
 //
 // The composition is the same cum-diff argument the SEGMENTED family
 // rests on: COUNT and SUM over [a,b] are differences of cumulative

@@ -6,11 +6,11 @@ import (
 	"rangeagg/internal/build"
 )
 
-// Watch is a dirty window the engine keeps for a consumer that builds
-// from its data outside BuildSynopsis — a serving layer. Every mutation
-// marks every registered watch, so a consumer never works out a write's
-// span itself, and two consumers never take each other's marks. Its
-// fields are guarded by the engine's lock.
+// Watch is a dirty window the engine keeps for a consumer of its data:
+// a serving layer, or one registered engine synopsis (BuildSynopsis).
+// Every mutation marks every registered watch, so a consumer never
+// works out a write's span itself, and two consumers never take each
+// other's marks. Its fields are guarded by the engine's lock.
 type Watch struct {
 	e   *Engine
 	win build.Window
@@ -33,9 +33,14 @@ type Capture struct {
 
 // Watch registers a new consumer window, clean as of now.
 func (e *Engine) Watch() *Watch {
-	w := &Watch{e: e}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.watch()
+}
+
+// watch registers a new clean window. Callers hold e.mu.
+func (e *Engine) watch() *Watch {
+	w := &Watch{e: e}
 	e.watches[w] = struct{}{}
 	return w
 }
@@ -50,9 +55,14 @@ func (w *Watch) Close() {
 // Capture takes the window, resetting it, together with the engine
 // state a build reads, under one engine lock.
 func (w *Watch) Capture() Capture {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	return w.capture()
+}
+
+// capture is Capture for callers that hold e.mu.
+func (w *Watch) capture() Capture {
 	e := w.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	c := Capture{Counts: e.metricCounts(Count), Version: e.version, Window: w.win, Cutover: e.approxCutover, dirtyAt: w.dirtyAt}
 	w.win, w.dirtyAt = build.Window{}, 0
 	return c
@@ -64,6 +74,11 @@ func (w *Watch) Capture() Capture {
 func (w *Watch) Restore(c Capture) {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
+	w.restore(c)
+}
+
+// restore is Restore for callers that hold e.mu.
+func (w *Watch) restore(c Capture) {
 	w.win.Merge(c.Window)
 	if c.dirtyAt != 0 && (w.dirtyAt == 0 || c.dirtyAt < w.dirtyAt) {
 		w.dirtyAt = c.dirtyAt
@@ -82,27 +97,13 @@ func (w *Watch) DirtySince() time.Time {
 }
 
 // markDirty records a mutation of the value span [lo,hi] in every
-// window the engine keeps. Callers hold e.mu.
+// registered watch. Callers hold e.mu.
 func (e *Engine) markDirty(lo, hi int) {
-	for _, w := range e.windows {
-		w.Mark(lo, hi, e.domain)
-	}
 	for w := range e.watches {
 		w.win.Mark(lo, hi, e.domain)
 		if w.dirtyAt == 0 {
 			w.dirtyAt = time.Now().UnixNano()
 		}
-	}
-}
-
-// resetWindow starts (or stops) dirty tracking for a freshly installed
-// synopsis: rebuild-capable synopses get a clean window, others drop any
-// stale one. Callers hold e.mu.
-func (e *Engine) resetWindow(name string, opt build.Options) {
-	if build.CanRebuild(opt) {
-		e.windows[name] = &build.Window{}
-	} else {
-		delete(e.windows, name)
 	}
 }
 

@@ -72,9 +72,8 @@ type Engine struct {
 	approxCutover int
 
 	synopses map[string]*Synopsis
-	// windows tracks the mutated value window per rebuild-capable
-	// synopsis; watches are the consumers' windows (Watch).
-	windows map[string]*build.Window
+	// watches are the consumers' windows (Watch): one per registered
+	// synopsis, plus those of serving layers.
 	watches map[*Watch]struct{}
 }
 
@@ -92,8 +91,13 @@ type Synopsis struct {
 	// refer to the data at Version; staleness widens them unaccounted.
 	ErrModel method.ErrorModel
 	// Version of the engine data when built; staleness is the number of
-	// mutations since.
+	// mutations since. The synopsis is current exactly when Version is
+	// the engine's version (InstallSynopsis keeps a stale restored
+	// estimator one behind).
 	Version int64
+	// watch holds the mutations since the data Est summarizes; the
+	// registry registers it while the synopsis is registered.
+	watch *Watch
 }
 
 // New creates an engine for attribute values in [0, domain).
@@ -106,7 +110,6 @@ func New(name string, domain int) (*Engine, error) {
 		domain:   domain,
 		counts:   make([]int64, domain),
 		synopses: make(map[string]*Synopsis),
-		windows:  make(map[string]*build.Window),
 		watches:  make(map[*Watch]struct{}),
 	}, nil
 }
@@ -272,18 +275,25 @@ func (e *Engine) Version() int64 {
 	return e.version
 }
 
-// metricCounts derives the per-value series a synopsis of the metric
-// summarizes (the raw distribution for Count, value×frequency for Sum).
-// Callers hold the lock.
+// metricCounts returns a copy of the per-value series a synopsis of the
+// metric summarizes. Callers hold the lock.
 func (e *Engine) metricCounts(m Metric) []int64 {
-	out := make([]int64, len(e.counts))
-	switch m {
-	case Sum:
-		for v, c := range e.counts {
-			out[v] = int64(v) * c
-		}
-	default:
-		copy(out, e.counts)
+	if m == Sum {
+		return series(Sum, e.counts)
+	}
+	return append([]int64(nil), e.counts...)
+}
+
+// series derives the per-value series a synopsis of the metric
+// summarizes from a COUNT series: the counts themselves for Count,
+// value×frequency (a new slice) for Sum.
+func series(m Metric, counts []int64) []int64 {
+	if m != Sum {
+		return counts
+	}
+	out := make([]int64, len(counts))
+	for v, c := range counts {
+		out[v] = int64(v) * c
 	}
 	return out
 }
@@ -332,69 +342,79 @@ func clamp(a, b, domain int) (int, int, bool) {
 
 // BuildSynopsis constructs and registers a synopsis under the given name,
 // replacing any previous one with that name. When the previous synopsis
-// under the name has the same spec, the mutations since it was built
-// decide how much work the refresh does (build.Refresh): none when
-// nothing changed, a dirty-segment rebuild when they are confined to a
-// value window, a full build otherwise.
+// under the name has the same spec, the mutations its watch recorded
+// since it was built decide how much work the refresh does
+// (build.Refresh): none when nothing changed, a dirty-segment rebuild
+// when they are confined to a value window and the method has a Rebuild
+// hook, a full build otherwise. A new spec starts a fresh watch.
 // Domains at or above the approx cutover construct full builds through
 // the method's (1+ε)-approximate counterpart while the registered
 // options stay as given.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*Synopsis, error) {
 	e.mu.Lock()
-	counts := e.metricCounts(metric)
-	version := e.version
-	cutover := e.approxCutover
 	old := e.synopses[name]
 	var prev *build.Prev
-	var win build.Window
-	if !build.CanRebuild(opt) {
-		delete(e.windows, name)
+	var w *Watch
+	if old != nil && old.Metric == metric && old.Options == opt {
+		prev, w = &build.Prev{Est: old.Est, Version: old.Version}, old.watch
 	} else {
-		// The window must exist before the unlocked build so concurrent
-		// mutations land in it. A window created late (previous synopsis
-		// installed by a path without tracking) starts fully dirty.
-		w := e.windows[name]
-		if w == nil {
-			w = &build.Window{}
-			if old != nil {
-				w.MarkAll()
-			}
-			e.windows[name] = w
-		}
-		if old != nil && old.Metric == metric && old.Options == opt {
-			prev = &build.Prev{Est: old.Est, Version: old.Version}
-			win, *w = *w, build.Window{}
-		}
+		w = e.watch()
 	}
+	c := w.capture()
 	e.mu.Unlock()
+	if refreshCaptured != nil {
+		refreshCaptured()
+	}
 
-	est, step, err := build.Refresh(counts, version, opt, prev, win, nil, cutover)
+	counts := series(metric, c.Counts)
+	est, step, err := build.Refresh(counts, c.Version, opt, prev, c.Window, nil, c.Cutover)
 	if err == nil && step.Rung == build.Reuse {
 		return old, nil
 	}
-	if err == nil {
-		var em method.ErrorModel
-		if em, err = errModelFor(opt, counts, est); err == nil {
-			s := &Synopsis{Name: name, Metric: metric, Options: opt, Est: est, ErrModel: em, Version: version}
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			e.synopses[name] = s
-			return s, nil
-		}
-		err = fmt.Errorf("engine: error model for %q: %w", name, err)
-	} else {
+	var em method.ErrorModel
+	if err != nil {
 		err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
+	} else if em, err = errModelFor(opt, counts, est); err != nil {
+		err = fmt.Errorf("engine: error model for %q: %w", name, err)
 	}
-	if prev != nil {
-		// The captured mutations were not absorbed into any synopsis; put
-		// them back so the next rebuild still covers them.
-		e.mu.Lock()
-		if w, ok := e.windows[name]; ok {
-			w.Merge(win)
-		}
+	e.mu.Lock()
+	if err == nil && e.synopses[name] == old {
+		s := &Synopsis{Name: name, Metric: metric, Options: opt, Est: est, ErrModel: em, Version: c.Version, watch: w}
+		e.register(s)
 		e.mu.Unlock()
+		return s, nil
 	}
-	return nil, err
+	// The build failed, or a concurrent build or drop replaced the
+	// synopsis it started from. Either way no registered synopsis holds
+	// the captured mutations, so they go back to the watch (a fresh
+	// watch goes away); a build that raced starts over from the new
+	// registration. Until it registers, readers see the replacement,
+	// which may lack these mutations while its Stale reads 0: racing
+	// refreshes converge, they are not serialized.
+	if prev != nil {
+		w.restore(c)
+	} else {
+		delete(e.watches, w)
+	}
+	e.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return e.BuildSynopsis(name, metric, opt)
+}
+
+// refreshCaptured, when a test sets it, runs in BuildSynopsis between
+// the capture and the build: where a racing refresh interleaves.
+var refreshCaptured func()
+
+// register installs s under its name, unregistering the watch of the
+// synopsis it replaces unless s carries that watch on. Callers hold
+// e.mu.
+func (e *Engine) register(s *Synopsis) {
+	if old := e.synopses[s.Name]; old != nil && old.watch != s.watch {
+		delete(e.watches, old.watch)
+	}
+	e.synopses[s.Name] = s
 }
 
 // errModelFor builds the per-range error model of a freshly constructed
@@ -509,12 +529,11 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	// is not fatal: the absorption (a logged, replayable mutation) already
 	// happened, so the synopsis just serves without bounds.
 	em, _ := errModelFor(opts, e.metricCounts(metric), est)
-	s := &Synopsis{Name: name, Metric: metric, Options: opts, Est: est, ErrModel: em, Version: e.version}
-	e.synopses[name] = s
 	// The merged estimator reflects the post-merge distribution exactly,
-	// so its window starts clean (everything else stays fully dirty from
-	// the absorption above).
-	e.resetWindow(name, opts)
+	// so its watch starts clean (every other watch was marked fully
+	// dirty by the absorption above).
+	s := &Synopsis{Name: name, Metric: metric, Options: opts, Est: est, ErrModel: em, Version: e.version, watch: e.watch()}
+	e.register(s)
 	return s, nil
 }
 
@@ -522,21 +541,24 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 // at the current data version, replacing any previous one. It is the
 // recovery path's way to restore checkpointed synopses bit-identically
 // instead of rebuilding them; the estimator must span the engine's
-// domain.
-func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options, est build.Estimator) *Synopsis {
+// domain. fresh says the estimator summarizes exactly the current data,
+// so its next refresh may reuse it or rebuild only what later mutations
+// touch. Otherwise it summarizes some earlier data: it is registered one
+// version behind the engine, so it never counts as current (Stale, the
+// reuse rung, a checkpoint's fresh flag), and its watch starts fully
+// dirty, so its next refresh builds in full.
+func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options, est build.Estimator, fresh bool) *Synopsis {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Recovered estimators get their error model rebuilt against the
 	// recovered data; a failure leaves the synopsis serving unbounded.
 	em, _ := errModelFor(opts, e.metricCounts(metric), est)
-	s := &Synopsis{Name: name, Metric: metric, Options: opts, Est: est, ErrModel: em, Version: e.version}
-	e.synopses[name] = s
-	// A restored estimator may predate replayed mutations, so its first
-	// rebuild is always a full one.
-	e.resetWindow(name, opts)
-	if w, ok := e.windows[name]; ok {
-		w.MarkAll()
+	s := &Synopsis{Name: name, Metric: metric, Options: opts, Est: est, ErrModel: em, Version: e.version, watch: e.watch()}
+	if !fresh {
+		s.Version--
+		s.watch.win.MarkAll()
 	}
+	e.register(s)
 	return s
 }
 
@@ -544,9 +566,11 @@ func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options,
 func (e *Engine) DropSynopsis(name string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, ok := e.synopses[name]
-	delete(e.synopses, name)
-	delete(e.windows, name)
+	s, ok := e.synopses[name]
+	if ok {
+		delete(e.watches, s.watch)
+		delete(e.synopses, name)
+	}
 	return ok
 }
 
@@ -574,7 +598,7 @@ func (e *Engine) Synopses() []*Synopsis {
 }
 
 // Stale reports how many mutations have happened since the synopsis was
-// built.
+// built (at least one for an estimator installed not fresh).
 func (e *Engine) Stale(s *Synopsis) int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -680,8 +704,9 @@ func (e *Engine) ApproxBatch(name string, queries []sse.Range) ([]float64, error
 	return out, nil
 }
 
-// Refresh rebuilds a registered synopsis from the current data with its
-// original options.
+// Refresh refreshes a registered synopsis with its original spec
+// (BuildSynopsis): it is kept as is when nothing changed since it was
+// built.
 func (e *Engine) Refresh(name string) (*Synopsis, error) {
 	s, err := e.Synopsis(name)
 	if err != nil {

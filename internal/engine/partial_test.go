@@ -145,3 +145,69 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 		t.Errorf("disabled cutover still built %q", s.Est.Name())
 	}
 }
+
+// TestConcurrentSegmentedRefreshes checks that two refreshes of one
+// spec racing each other — as auto-refresh runs them from concurrent
+// queries — end with a synopsis holding both of their mutations. The
+// race is staged, not timed: the second refresh runs while the first
+// sits between its capture and its build, so the second registers a
+// synopsis missing the first's write, and the first, finding the
+// synopsis it started from replaced, hands its mutations back and
+// refreshes again from the second's registration.
+func TestConcurrentSegmentedRefreshes(t *testing.T) {
+	const n = 2048
+	opt := build.Options{Method: build.Segmented, BudgetWords: 128, Segments: 2}
+	e, ref := newSegEngine(t, n), newSegEngine(t, n)
+	old, err := e.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.BuildSynopsis("s", Count, opt); err != nil {
+		t.Fatal(err)
+	}
+	x, y := 100, n-100 // one point in each segment
+	for _, v := range []int{x, y} {
+		if err := ref.Insert(v, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Insert(x, 500); err != nil {
+		t.Fatal(err)
+	}
+	var raced *Synopsis
+	refreshCaptured = func() {
+		refreshCaptured = nil // the first refresh has captured [x,x]
+		if err := e.Insert(y, 500); err != nil {
+			t.Fatal(err)
+		}
+		if raced, err = e.BuildSynopsis("s", Count, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() { refreshCaptured = nil }()
+	s, err := e.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raced == nil {
+		t.Fatal("the racing refresh never ran")
+	}
+	ps, rs := old.Est.(*segment.Segmented), raced.Est.(*segment.Segmented)
+	if i := ps.Find(x); rs.Segs[i] != ps.Segs[i] {
+		t.Fatalf("the racing refresh rebuilt segment %d: it should not have seen the write at %d", i, x)
+	}
+	if cur, err := e.Synopsis("s"); err != nil || cur != s || s == raced {
+		t.Fatalf("registered %p (%v), want the first refresh's retry %p, not the raced %p", cur, err, s, raced)
+	}
+	want, err := ref.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < n; a += 37 {
+		for b := a; b < n; b += 41 {
+			if got, w := s.Est.Estimate(a, b), want.Est.Estimate(a, b); got != w {
+				t.Fatalf("[%d,%d] answers %v after the race, %v after one refresh of both writes", a, b, got, w)
+			}
+		}
+	}
+}

@@ -1,12 +1,9 @@
 package histogram
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Estimator is the answering interface every histogram in this package
@@ -29,7 +26,7 @@ var (
 	_ Estimator = (*SAP2)(nil)
 )
 
-// Encoded is the serialization form shared by the JSON and binary codecs.
+// Encoded is the serialization form of the JSON codec.
 type Encoded struct {
 	Kind   string      `json:"kind"` // "avg", "sap0", "sap1"
 	Label  string      `json:"label"`
@@ -128,130 +125,4 @@ func ReadJSON(r io.Reader) (Estimator, error) {
 		return nil, fmt.Errorf("histogram: decoding JSON: %w", err)
 	}
 	return Decode(&enc)
-}
-
-// binaryMagic guards the compact binary format.
-const binaryMagic = uint32(0x52414747) // "RAGG"
-
-// WriteBinary serializes a histogram in a compact little-endian binary
-// format suitable for the storage engine.
-func WriteBinary(w io.Writer, e Estimator) error {
-	enc, err := Encode(e)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	put := func(v any) {
-		// Errors from bytes.Buffer writes are impossible; binary.Write only
-		// fails on unsupported types, which the fixed call sites exclude.
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			panic(err)
-		}
-	}
-	put(binaryMagic)
-	putString(&buf, enc.Kind)
-	putString(&buf, enc.Label)
-	put(uint32(enc.N))
-	put(uint32(enc.Mode))
-	put(uint32(len(enc.Starts)))
-	for _, s := range enc.Starts {
-		put(uint32(s))
-	}
-	put(uint32(len(enc.Series)))
-	for _, series := range enc.Series {
-		put(uint32(len(series)))
-		for _, v := range series {
-			put(math.Float64bits(v))
-		}
-	}
-	_, err = w.Write(buf.Bytes())
-	return err
-}
-
-// ReadBinary deserializes a histogram written by WriteBinary.
-func ReadBinary(r io.Reader) (Estimator, error) {
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("histogram: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("histogram: bad magic %#x", magic)
-	}
-	var enc Encoded
-	var err error
-	if enc.Kind, err = getString(r); err != nil {
-		return nil, err
-	}
-	if enc.Label, err = getString(r); err != nil {
-		return nil, err
-	}
-	var n, mode, nStarts uint32
-	for _, p := range []*uint32{&n, &mode, &nStarts} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("histogram: reading header: %w", err)
-		}
-	}
-	const limit = 1 << 26 // refuse absurd sizes from corrupt streams
-	if n > limit || nStarts > limit {
-		return nil, fmt.Errorf("histogram: corrupt sizes n=%d starts=%d", n, nStarts)
-	}
-	enc.N = int(n)
-	enc.Mode = int(mode)
-	enc.Starts = make([]int, nStarts)
-	for i := range enc.Starts {
-		var s uint32
-		if err := binary.Read(r, binary.LittleEndian, &s); err != nil {
-			return nil, fmt.Errorf("histogram: reading starts: %w", err)
-		}
-		enc.Starts[i] = int(s)
-	}
-	var nSeries uint32
-	if err := binary.Read(r, binary.LittleEndian, &nSeries); err != nil {
-		return nil, fmt.Errorf("histogram: reading series count: %w", err)
-	}
-	if nSeries > 8 {
-		return nil, fmt.Errorf("histogram: corrupt series count %d", nSeries)
-	}
-	enc.Series = make([][]float64, nSeries)
-	for i := range enc.Series {
-		var ln uint32
-		if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
-			return nil, fmt.Errorf("histogram: reading series length: %w", err)
-		}
-		if ln > limit {
-			return nil, fmt.Errorf("histogram: corrupt series length %d", ln)
-		}
-		series := make([]float64, ln)
-		for j := range series {
-			var bits uint64
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return nil, fmt.Errorf("histogram: reading series value: %w", err)
-			}
-			series[j] = math.Float64frombits(bits)
-		}
-		enc.Series[i] = series
-	}
-	return Decode(&enc)
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	if err := binary.Write(buf, binary.LittleEndian, uint32(len(s))); err != nil {
-		panic(err)
-	}
-	buf.WriteString(s)
-}
-
-func getString(r io.Reader) (string, error) {
-	var ln uint32
-	if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
-		return "", fmt.Errorf("histogram: reading string length: %w", err)
-	}
-	if ln > 1<<16 {
-		return "", fmt.Errorf("histogram: corrupt string length %d", ln)
-	}
-	b := make([]byte, ln)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("histogram: reading string: %w", err)
-	}
-	return string(b), nil
 }

@@ -58,43 +58,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, h := range buildAll(t) {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, h); err != nil {
-			t.Fatalf("%s: %v", h.Name(), err)
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", h.Name(), err)
-		}
-		sameAnswers(t, h, got)
-	}
-}
-
-func TestReadBinaryRejectsCorruption(t *testing.T) {
-	h := buildAll(t)[0]
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Bad magic.
-	bad := append([]byte{}, raw...)
-	bad[0] ^= 0xff
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated stream.
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Error("truncated stream accepted")
-	}
-	// Empty stream.
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
-}
-
 func TestReadJSONRejectsBadKind(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"kind":"nope","n":3,"starts":[0],"series":[[1]]}`)); err == nil {
 		t.Error("unknown kind accepted")

@@ -123,7 +123,7 @@ func TestServingSnapshotMatchesOracle(t *testing.T) {
 		specs := []engine.SynopsisSpec{
 			{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.SAP0, BudgetWords: 18}},
 		}
-		srv, err := serve.New(eng, specs, serve.Config{FanOut: 4})
+		srv, err := serve.New(eng, specs, serve.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,8 @@ func TestServingSnapshotMatchesOracle(t *testing.T) {
 		}
 		sums := oracle.SumSeries(counts)
 		var qs []serve.Query
-		for a := -2; a < n; a += 5 {
+		// 150 queries: over the serving layer's fan-out threshold (128).
+		for a := -2; a < n; a++ {
 			qs = append(qs,
 				serve.Query{A: a, B: a + 9, Metric: engine.Count},
 				serve.Query{A: a, B: a + 9, Metric: engine.Sum},

@@ -106,14 +106,14 @@ func (s *Server) Health() HealthStatus {
 
 // InstallCheckpoint replaces the node's data with a primary's decoded
 // checkpoint and synchronously publishes a snapshot of it — the replica
-// side of snapshot replication. With adoptSpecs, the specs the
-// checkpoint declares under names this node lacks are added to the
-// published ones, so a bare replica converges on the primary's full
-// serving shape; they are registered only if the publish succeeds.
+// side of snapshot replication. The specs the checkpoint declares under
+// names this node lacks are added to the published ones, so a bare
+// replica converges on the primary's full serving shape; they are
+// registered only if the publish succeeds.
 // Durable nodes refuse the install: their write-ahead log is the
 // authority on their data, and replacing state behind it would diverge
 // recovery.
-func (s *Server) InstallCheckpoint(ck *wal.CheckpointData, adoptSpecs bool) error {
+func (s *Server) InstallCheckpoint(ck *wal.CheckpointData) error {
 	if s.cfg.WAL != nil {
 		return fmt.Errorf("serve: refusing checkpoint install on a durable node (the WAL owns its data)")
 	}
@@ -123,11 +123,9 @@ func (s *Server) InstallCheckpoint(ck *wal.CheckpointData, adoptSpecs bool) erro
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
 	specs := s.snap.Load().specs()
-	if adoptSpecs {
-		for _, sp := range ck.Specs {
-			if specIndex(specs, sp.Name) < 0 {
-				specs = append(specs, sp)
-			}
+	for _, sp := range ck.Specs {
+		if specIndex(specs, sp.Name) < 0 {
+			specs = append(specs, sp)
 		}
 	}
 	if err := s.eng.Replace(ck.Counts); err != nil {

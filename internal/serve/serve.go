@@ -38,6 +38,10 @@ var (
 	snapshotVersion   = obs.Default.Gauge("rangeagg_serve_snapshot_version")
 )
 
+// fanOutBatch is the smallest batch QueryBatch spreads over the worker
+// pool; smaller batches evaluate inline.
+const fanOutBatch = 128
+
 // Config tunes the server; zero values select the defaults.
 type Config struct {
 	// Debounce is the quiet period after a mutation before the automatic
@@ -47,9 +51,6 @@ type Config struct {
 	// MaxLag caps how stale the published snapshot may grow while
 	// mutations keep arriving (default 20×Debounce).
 	MaxLag time.Duration
-	// FanOut is the smallest batch QueryBatch spreads over the worker
-	// pool; smaller batches evaluate inline (default 128).
-	FanOut int
 	// WAL, when non-nil, makes the server durable: the engine must be
 	// the DB's engine, every mutation path (ingest, load) appends its log
 	// record before the call acknowledges, and a checkpoint piggybacks on
@@ -76,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLag <= 0 {
 		c.MaxLag = 20 * c.Debounce
-	}
-	if c.FanOut <= 0 {
-		c.FanOut = 128
 	}
 	return c
 }
@@ -390,7 +388,7 @@ func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 		}
 		s.planner.Add(&t)
 	}
-	if len(qs) >= s.cfg.FanOut {
+	if len(qs) >= fanOutBatch {
 		parallel.ForEachChunk(len(qs), 64, answer)
 	} else {
 		answer(0, len(qs))

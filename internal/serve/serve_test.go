@@ -69,7 +69,7 @@ func TestSnapshotExactAndApprox(t *testing.T) {
 }
 
 func TestQueryBatchMatchesSingleQueries(t *testing.T) {
-	eng, s := newTestServer(t, 128, Config{FanOut: 8})
+	eng, s := newTestServer(t, 128, Config{})
 	counts := make([]int64, 128)
 	for i := range counts {
 		counts[i] = int64((i * 7) % 11)

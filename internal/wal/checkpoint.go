@@ -45,6 +45,11 @@ type ckptSynopsis struct {
 	Metric  int           `json:"metric"`
 	Options build.Options `json:"options"`
 	Blob    []byte        `json:"blob,omitempty"`
+	// Fresh records that the estimator summarized exactly the
+	// checkpoint's counts, so recovery refreshes it as the live engine
+	// would: reuse, or a rebuild of only what replayed records touch.
+	// Checkpoints without it restore the estimator fully dirty.
+	Fresh bool `json:"fresh,omitempty"`
 }
 
 // checkpointName returns the file name of the checkpoint covering all

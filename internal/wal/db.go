@@ -224,7 +224,7 @@ func (d *DB) restoreCheckpoint(ckpt checkpointWire) error {
 		if est.N() != ckpt.Domain {
 			return fmt.Errorf("wal: synopsis %q spans domain %d, checkpoint holds %d", cs.Name, est.N(), ckpt.Domain)
 		}
-		eng.InstallSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options, est)
+		eng.InstallSynopsis(cs.Name, engine.Metric(cs.Metric), cs.Options, est, cs.Fresh)
 	}
 	return nil
 }
@@ -488,6 +488,7 @@ func (d *DB) Checkpoint() error {
 	d.mu.Lock()
 	applied := d.log.LastIndex()
 	counts := d.eng.Counts()
+	version := d.eng.Version()
 	syns := d.eng.Synopses()
 	declared := append([]engine.SynopsisSpec(nil), d.declared...)
 	if err := d.log.Rotate(); err != nil {
@@ -499,12 +500,15 @@ func (d *DB) Checkpoint() error {
 	span.SetAttrInt("applied", int64(applied))
 	span.SetAttrInt("synopses", int64(len(syns)))
 	wire := checkpointWire{Name: d.eng.Name(), Domain: d.eng.Domain(), Applied: applied, Counts: counts}
+	// A synopsis summarizes exactly the captured counts when it was built
+	// at their version; a stale restored one stays a version behind
+	// (engine.InstallSynopsis), so it is never written fresh.
 	for _, s := range syns {
 		blob, err := encodeEstimator(s.Est)
 		if err != nil {
 			return fmt.Errorf("wal: checkpointing synopsis %q: %w", s.Name, err)
 		}
-		wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: s.Name, Metric: int(s.Metric), Options: s.Options, Blob: blob})
+		wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: s.Name, Metric: int(s.Metric), Options: s.Options, Blob: blob, Fresh: s.Version == version})
 	}
 	// Declared specs ride along without a blob: recovery carries them as
 	// declared, and a replica installing this checkpoint builds them from

@@ -830,6 +830,144 @@ func TestAbsorbShardReplaysAndMerges(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefreshesCheckpointedSynopsesAsLive pins that a synopsis
+// restored from a checkpoint refreshes on replay exactly as the live
+// engine refreshed it: a merged synopsis rebuilt on unchanged data is
+// reused, and a segmented one rebuilt after a point insert is rebuilt
+// only in the dirty segment. Recovery reproduces both bit for bit.
+func TestRecoveryRefreshesCheckpointedSynopsesAsLive(t *testing.T) {
+	const n = 256
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: n})
+	counts := make([]int64, n)
+	for i := range counts {
+		counts[i] = int64((i*29)%13) * 7
+	}
+	if err := db.Load(counts); err != nil {
+		t.Fatal(err)
+	}
+	seg := build.Options{Method: build.Segmented, BudgetWords: 40, Segments: 8}
+	if _, err := db.BuildSynopsis("seg", engine.Count, seg); err != nil {
+		t.Fatal(err)
+	}
+	shard, err := engine.New("shard", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.Insert(20, 11); err != nil {
+		t.Fatal(err)
+	}
+	a0 := build.Options{Method: build.A0, BudgetWords: 12}
+	ssyn, err := shard.BuildSynopsis("a", engine.Count, a0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := db.AbsorbShard("a", shard.Counts(), ssyn.Metric, ssyn.Options, ssyn.Est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.BuildSynopsis("seg", engine.Count, seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := db.BuildSynopsis("a", engine.Count, a0); err != nil || again != merged {
+		t.Fatalf("refresh after the merge built %p (%v), want the merged %p", again, err, merged)
+	}
+	if err := db.Insert(100, 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.BuildSynopsis("seg", engine.Count, seg); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"a": encodeT(t, db, "a"), "seg": encodeT(t, db, "seg")}
+	closeT(t, db)
+
+	db2, _ := openT(t, dir, Options{})
+	defer closeT(t, db2)
+	for name, blob := range want {
+		if !bytes.Equal(encodeT(t, db2, name), blob) {
+			t.Errorf("synopsis %q differs after recovery from its live refresh", name)
+		}
+	}
+}
+
+// TestStaleSynopsisStaysStaleAcrossRestarts pins that a synopsis stale
+// at a checkpoint stays stale through later restarts: a checkpoint taken
+// right after recovery, with nothing replayed, must not record the
+// restored estimator fresh, or the next recovery would reuse the
+// pre-insert estimator (or keep its stale segments) where the live
+// engine rebuilds it from the current counts.
+func TestStaleSynopsisStaysStaleAcrossRestarts(t *testing.T) {
+	const n = 256
+	specs := map[string]build.Options{
+		"a":   {Method: build.A0, BudgetWords: 12},
+		"seg": {Method: build.Segmented, BudgetWords: 40, Segments: 8},
+	}
+	dir := t.TempDir()
+	db, _ := openT(t, dir, Options{Domain: n})
+	counts := make([]int64, n)
+	for i := range counts {
+		counts[i] = int64((i*29)%13) * 7
+	}
+	if err := db.Load(counts); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range specs {
+		if _, err := db.BuildSynopsis(name, engine.Count, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert(100, 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeT(t, db)
+
+	db, _ = openT(t, dir, Options{})
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeT(t, db)
+
+	db, _ = openT(t, dir, Options{})
+	defer closeT(t, db)
+	eng := db.Engine()
+	ref, err := engine.New("ref", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Load(eng.Counts()); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range specs {
+		s, err := eng.Synopsis(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Stale(s) == 0 {
+			t.Errorf("synopsis %q reads fresh after two restarts, but predates the insert", name)
+		}
+		if _, err := db.BuildSynopsis(name, engine.Count, opt); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := ref.BuildSynopsis(name, engine.Count, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeEstimator(rs.Est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeT(t, db, name), want) {
+			t.Errorf("synopsis %q after two restarts is not a rebuild of the current counts", name)
+		}
+	}
+}
+
 func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {

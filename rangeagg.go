@@ -203,21 +203,6 @@ func (m Method) resolve() (build.Method, error) {
 	return id, nil
 }
 
-// validateEpsilon rejects ε outside (0,1) for Approximate-capability
-// methods before the build starts (NaN fails both comparisons). Other
-// methods ignore the check: their Epsilon semantics (OPT-A-ROUNDED)
-// tolerate zero.
-func (m Method) validateEpsilon(eps float64) error {
-	d, err := method.Lookup(build.Method(m))
-	if err != nil || !d.Caps.Has(method.Approximate) {
-		return nil
-	}
-	if eps > 0 && eps < 1 {
-		return nil
-	}
-	return &InvalidEpsilonError{Method: m, Epsilon: eps}
-}
-
 // String returns the method's paper name.
 func (m Method) String() string { return build.Method(m).String() }
 
@@ -290,14 +275,41 @@ type Options struct {
 	SegmentPolicy string
 }
 
+// toBuild converts the options to the build layer's: the one
+// conversion Build and both BuildSynopsis methods share. An
+// unregistered method yields *UnknownMethodError; an Approximate-
+// capability method (SAP0-APPROX, A0-APPROX, POINT-OPT-APPROX) with ε
+// outside (0,1) yields *InvalidEpsilonError before any build starts
+// (NaN fails both comparisons). Other methods ignore the check: their
+// Epsilon semantics (OPT-A-ROUNDED) tolerate zero.
+func (o Options) toBuild() (build.Options, error) {
+	im, err := o.Method.resolve()
+	if err != nil {
+		return build.Options{}, err
+	}
+	if method.MustLookup(im).Caps.Has(method.Approximate) && !(o.Epsilon > 0 && o.Epsilon < 1) {
+		return build.Options{}, &InvalidEpsilonError{Method: o.Method, Epsilon: o.Epsilon}
+	}
+	return build.Options{
+		Method:        im,
+		BudgetWords:   o.BudgetWords,
+		Reopt:         o.Reopt,
+		LocalSearch:   o.LocalSearch,
+		Seed:          o.Seed,
+		Epsilon:       o.Epsilon,
+		RoundedX:      o.RoundedX,
+		MaxStates:     o.MaxStates,
+		CoarsenTo:     o.CoarsenTo,
+		Segments:      o.Segments,
+		SegmentPolicy: o.SegmentPolicy,
+	}, nil
+}
+
 // Build constructs a synopsis over the attribute-value distribution.
 // Counts must be non-empty and non-negative.
 func Build(counts []int64, opt Options) (Synopsis, error) {
-	im, err := opt.Method.resolve()
+	bo, err := opt.toBuild()
 	if err != nil {
-		return nil, err
-	}
-	if err := opt.Method.validateEpsilon(opt.Epsilon); err != nil {
 		return nil, err
 	}
 	for i, c := range counts {
@@ -305,19 +317,7 @@ func Build(counts []int64, opt Options) (Synopsis, error) {
 			return nil, fmt.Errorf("rangeagg: negative count %d at value %d", c, i)
 		}
 	}
-	return build.Build(counts, build.Options{
-		Method:        im,
-		BudgetWords:   opt.BudgetWords,
-		Reopt:         opt.Reopt,
-		LocalSearch:   opt.LocalSearch,
-		Seed:          opt.Seed,
-		Epsilon:       opt.Epsilon,
-		RoundedX:      opt.RoundedX,
-		MaxStates:     opt.MaxStates,
-		CoarsenTo:     opt.CoarsenTo,
-		Segments:      opt.Segments,
-		SegmentPolicy: opt.SegmentPolicy,
-	})
+	return build.Build(counts, bo)
 }
 
 // Range is an inclusive query range.

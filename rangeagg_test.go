@@ -133,6 +133,51 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build([]int64{1, 2, 3}, Options{Method: A0, BudgetWords: 8, Epsilon: 0}); err != nil {
 		t.Errorf("A0 with zero ε rejected: %v", err)
 	}
+
+	// Engine and Durable builds convert the options as Build does: every
+	// field reaches the construction, and ε is checked the same way.
+	counts, err := ZipfCounts(256, 1.4, 300, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := Options{Method: Segmented, BudgetWords: 64, Segments: 4, SegmentPolicy: "weight-balanced"}
+	want, err := Build(counts, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine("validation", len(counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := OpenDurable(t.TempDir(), DurableOptions{Domain: len(counts), Fsync: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for label, target := range map[string]sharedSurface{"Engine": eng, "Durable": dur} {
+		if err := target.Load(counts); err != nil {
+			t.Fatal(err)
+		}
+		if err := target.BuildSynopsis("seg", Count, seg); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for a := 0; a < len(counts); a++ {
+			for b := a; b < len(counts); b++ {
+				if got, err := target.Approx("seg", a, b); err != nil || got != want.Estimate(a, b) {
+					t.Fatalf("%s [%d,%d]: %v, %v; Build answers %v", label, a, b, got, err, want.Estimate(a, b))
+				}
+			}
+		}
+		bad := seg
+		bad.SegmentPolicy = "no-such-policy"
+		if err := target.BuildSynopsis("bad", Count, bad); err == nil {
+			t.Errorf("%s: unknown segment policy accepted", label)
+		}
+		err := target.BuildSynopsis("eps", Count, Options{Method: SAP0Approx, BudgetWords: 8, Epsilon: 1.5})
+		if !errors.As(err, &ee) {
+			t.Errorf("%s: SAP0Approx ε=1.5: err = %v, want *InvalidEpsilonError", label, err)
+		}
+	}
 }
 
 func TestReoptViaFacade(t *testing.T) {
