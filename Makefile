@@ -43,7 +43,8 @@ cover:
 		rangeagg/internal/wal rangeagg/internal/obs rangeagg/internal/plan \
 		rangeagg/internal/segment rangeagg/internal/cluster \
 		rangeagg/internal/reopt rangeagg/internal/ingest \
-		rangeagg/internal/engine rangeagg/internal/build
+		rangeagg/internal/engine rangeagg/internal/build \
+		rangeagg/internal/parallel rangeagg/internal/dp
 
 lint: gofmt
 	$(GO) vet ./...

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rangeagg/internal/parallel"
+	"rangeagg/internal/prefix"
 )
 
 const inf = math.MaxFloat64
@@ -33,71 +34,97 @@ type rowKernel func(jLo, jHi, iLo, iHi int, prev, cur []float64, choice []int32)
 // balanced; 32 cells amortize the atomic fetch without starving workers.
 const chunkGrain = 32
 
-// solveLayers is the shared driver behind every interval dynamic program
-// in this package. It runs the O(n²·B) DP with two rolling 1-D rows
-// (instead of full (B+1)×(n+1) tables) and a flattened int32 backtracking
-// matrix, parallelizing each layer over the shared worker pool: every cell
-// of layer k depends only on layer k−1, so rows within a layer are
-// embarrassingly parallel. Results are identical at any pool width because
-// cells are assigned by index and each kernel call is deterministic.
-func solveLayers(n, maxBuckets int, kernel rowKernel) (starts []int, total float64, err error) {
-	starts, total, _, err = solveLayersCurve(n, maxBuckets, kernel)
-	return starts, total, err
+// Stepper runs the interval dynamic program one layer at a time with
+// two rolling 1-D rows, parallelizing each layer over the shared worker
+// pool: every cell of layer k depends only on layer k−1, so the cells of
+// a layer are embarrassingly parallel. Results are identical at any pool
+// width because cells are assigned by index and each kernel call is
+// deterministic. It is the one layer driver of this package: solveLayers
+// runs its layers through it, and NewA0Stepper hands it to callers that
+// read per-layer optima without knowing how many they need.
+type Stepper struct {
+	n, k      int
+	kernel    rowKernel
+	prev, cur []float64 // layers k and k+1 (in progress)
+	scratch   []int32   // choice row for Step, whose callers never backtrack
 }
 
-// solveLayersCurve is solveLayers, additionally surfacing the per-layer
-// optima finals[k] = best cost of covering all n values with exactly k
-// buckets (finals[0] = +inf). The layer DP computes these anyway; the
-// segment allocator reads them as the error-vs-space curve of one
-// segment.
-func solveLayersCurve(n, maxBuckets int, kernel rowKernel) (starts []int, total float64, finals []float64, err error) {
+func newStepper(n int, kernel rowKernel) *Stepper {
+	s := &Stepper{n: n, kernel: kernel, prev: make([]float64, n+1), cur: make([]float64, n+1)}
+	for i := 1; i <= n; i++ {
+		s.prev[i] = inf
+	}
+	s.prev[0] = 0 // layer 0: zero buckets cover exactly zero values
+	return s
+}
+
+// NewA0Stepper returns a Stepper over the A0 bucket cost of tab (the
+// inlined a0Kernel, bit-identical to FusedA0Cost and A0Cost), for
+// tab.N() ≥ 1.
+func NewA0Stepper(tab *prefix.Table) *Stepper {
+	return newStepper(tab.N(), a0Kernel(tab))
+}
+
+// Step computes the next layer and returns its optimum: the k-th call
+// returns the best cost of covering all n values with exactly k
+// buckets, for k ≤ n. The optima are not monotone in k for every cost;
+// a caller that needs them so applies a running minimum.
+func (s *Stepper) Step() float64 {
+	if s.scratch == nil {
+		s.scratch = make([]int32, s.n+1)
+	}
+	return s.step(s.scratch)
+}
+
+// step fills layer k+1 over the pool, recording its backtracking
+// pointers in row (row[i] is the start of the last bucket of the best
+// cover of the first i values), and returns its final cell.
+func (s *Stepper) step(row []int32) float64 {
+	s.k++
+	k, n := s.k, s.n
+	// Feasible window of the previous layer: layer 0 is feasible only
+	// at j=0; layer k−1 ≥ 1 is feasible exactly on [k−1, n]. Scanning
+	// only this window replaces the seed's linear skip over inf cells.
+	jLo, jHi := k-1, n
+	if k == 1 {
+		jHi = 0
+	}
+	prev, cur := s.prev, s.cur
+	for i := 0; i < k; i++ {
+		cur[i] = inf
+		row[i] = -1
+	}
+	parallel.ForEachChunk(n-k+1, chunkGrain, func(lo, hi int) { // cells i = k..n
+		s.kernel(jLo, jHi, k+lo, k+hi, prev, cur, row)
+	})
+	s.prev, s.cur = cur, prev
+	return cur[n]
+}
+
+// solveLayers is the shared driver behind every interval dynamic program
+// in this package: the O(n²·B) DP through a Stepper, with a flattened
+// int32 backtracking matrix instead of full (B+1)×(n+1) tables.
+func solveLayers(n, maxBuckets int, kernel rowKernel) (starts []int, total float64, err error) {
 	if n <= 0 {
-		return nil, 0, nil, fmt.Errorf("dp: empty domain (n=%d)", n)
+		return nil, 0, fmt.Errorf("dp: empty domain (n=%d)", n)
 	}
 	if maxBuckets <= 0 {
-		return nil, 0, nil, fmt.Errorf("dp: need at least one bucket, got %d", maxBuckets)
+		return nil, 0, fmt.Errorf("dp: need at least one bucket, got %d", maxBuckets)
 	}
 	if maxBuckets > n {
 		maxBuckets = n
 	}
-	prev := make([]float64, n+1)
-	cur := make([]float64, n+1)
-	for i := 1; i <= n; i++ {
-		prev[i] = inf
-	}
-	prev[0] = 0 // layer 0: zero buckets cover exactly zero values
+	s := newStepper(n, kernel)
 	// choice[k*(n+1)+i] is the backtracking pointer of cell (k, i).
 	choice := make([]int32, (maxBuckets+1)*(n+1))
-	finals = make([]float64, maxBuckets+1)
-	finals[0] = inf
-	for k := 1; k <= maxBuckets; k++ {
-		// Feasible window of the previous layer: layer 0 is feasible only
-		// at j=0; layer k−1 ≥ 1 is feasible exactly on [k−1, n]. Scanning
-		// only this window replaces the seed's linear skip over inf cells.
-		jLo, jHi := k-1, n
-		if k == 1 {
-			jHi = 0
-		}
-		row := choice[k*(n+1) : (k+1)*(n+1)]
-		for i := 0; i < k; i++ {
-			cur[i] = inf
-			row[i] = -1
-		}
-		cells := n - k + 1 // cells i = k..n
-		parallel.ForEachChunk(cells, chunkGrain, func(lo, hi int) {
-			kernel(jLo, jHi, k+lo, k+hi, prev, cur, row)
-		})
-		finals[k] = cur[n]
-		prev, cur = cur, prev
-	}
 	bestK, bestCost := 0, inf
 	for k := 1; k <= maxBuckets; k++ {
-		if finals[k] < bestCost {
-			bestCost, bestK = finals[k], k
+		if c := s.step(choice[k*(n+1) : (k+1)*(n+1)]); c < bestCost {
+			bestCost, bestK = c, k
 		}
 	}
 	if bestK == 0 {
-		return nil, 0, nil, fmt.Errorf("dp: no feasible bucketing for n=%d B=%d", n, maxBuckets)
+		return nil, 0, fmt.Errorf("dp: no feasible bucketing for n=%d B=%d", n, maxBuckets)
 	}
 	starts = make([]int, bestK)
 	i := n
@@ -106,7 +133,7 @@ func solveLayersCurve(n, maxBuckets int, kernel rowKernel) (starts []int, total 
 		starts[k-1] = j
 		i = j
 	}
-	return starts, bestCost, finals, nil
+	return starts, bestCost, nil
 }
 
 // closureKernel adapts an arbitrary CostFunc to a rowKernel. Specialized
@@ -144,21 +171,6 @@ func closureKernel(cost CostFunc) rowKernel {
 // over the shared worker pool; the result is identical at any pool width.
 func Solve(n, maxBuckets int, cost CostFunc) (starts []int, total float64, err error) {
 	return solveLayers(n, maxBuckets, closureKernel(cost))
-}
-
-// SolveCurve runs the same layered DP as Solve but returns the whole
-// error-vs-space curve instead of just its minimum: curve[k] is the
-// optimal cost of partitioning [0,n) into exactly k non-empty contiguous
-// buckets, for k = 1..min(maxBuckets, n); curve[0] is +inf (zero buckets
-// cover nothing). The curve is what a budget allocator needs — marginal
-// gains curve[k]−curve[k+1] per added bucket — and costs no more than one
-// Solve (the per-layer optima fall out of the rolling rows).
-//
-// The curve is not forced monotone: for costs that are not non-increasing
-// in bucket count the caller applies a running minimum.
-func SolveCurve(n, maxBuckets int, cost CostFunc) ([]float64, error) {
-	_, _, finals, err := solveLayersCurve(n, maxBuckets, closureKernel(cost))
-	return finals, err
 }
 
 // SolveReference is the seed implementation of Solve — full 2-D tables, a

@@ -75,6 +75,17 @@ type Engine struct {
 	// watches are the consumers' windows (Watch): one per registered
 	// synopsis, plus those of serving layers.
 	watches map[*Watch]struct{}
+	// refreshing holds the refresh lock of every name a BuildSynopsis is
+	// refreshing or waiting to refresh.
+	refreshing map[string]*nameLock
+}
+
+// nameLock serializes the refreshes of one synopsis name. refs counts
+// the refreshes holding or waiting for it, so the entry goes with the
+// last of them; it is guarded by Engine.mu.
+type nameLock struct {
+	sync.Mutex
+	refs int
 }
 
 // Synopsis is a built summary registered under a name.
@@ -106,11 +117,12 @@ func New(name string, domain int) (*Engine, error) {
 		return nil, fmt.Errorf("engine: domain must be positive, got %d", domain)
 	}
 	return &Engine{
-		name:     name,
-		domain:   domain,
-		counts:   make([]int64, domain),
-		synopses: make(map[string]*Synopsis),
-		watches:  make(map[*Watch]struct{}),
+		name:       name,
+		domain:     domain,
+		counts:     make([]int64, domain),
+		synopses:   make(map[string]*Synopsis),
+		watches:    make(map[*Watch]struct{}),
+		refreshing: make(map[string]*nameLock),
 	}, nil
 }
 
@@ -350,61 +362,87 @@ func clamp(a, b, domain int) (int, int, bool) {
 // Domains at or above the approx cutover construct full builds through
 // the method's (1+ε)-approximate counterpart while the registered
 // options stay as given.
+//
+// Refreshes of one name run one at a time: each holds the name's lock
+// from its capture to its registration, so a later refresh starts from
+// the synopsis an earlier one registered and never registers one that
+// lacks an earlier capture's mutations.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*Synopsis, error) {
-	e.mu.Lock()
-	old := e.synopses[name]
-	var prev *build.Prev
-	var w *Watch
-	if old != nil && old.Metric == metric && old.Options == opt {
-		prev, w = &build.Prev{Est: old.Est, Version: old.Version}, old.watch
-	} else {
-		w = e.watch()
-	}
-	c := w.capture()
-	e.mu.Unlock()
-	if refreshCaptured != nil {
-		refreshCaptured()
-	}
-
-	counts := series(metric, c.Counts)
-	est, step, err := build.Refresh(counts, c.Version, opt, prev, c.Window, nil, c.Cutover)
-	if err == nil && step.Rung == build.Reuse {
-		return old, nil
-	}
-	var em method.ErrorModel
-	if err != nil {
-		err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
-	} else if em, err = errModelFor(opt, counts, est); err != nil {
-		err = fmt.Errorf("engine: error model for %q: %w", name, err)
-	}
-	e.mu.Lock()
-	if err == nil && e.synopses[name] == old {
-		s := &Synopsis{Name: name, Metric: metric, Options: opt, Est: est, ErrModel: em, Version: c.Version, watch: w}
-		e.register(s)
+	defer e.lockName(name)()
+	for {
+		e.mu.Lock()
+		old := e.synopses[name]
+		var prev *build.Prev
+		var w *Watch
+		if old != nil && old.Metric == metric && old.Options == opt {
+			prev, w = &build.Prev{Est: old.Est, Version: old.Version}, old.watch
+		} else {
+			w = e.watch()
+		}
+		c := w.capture()
 		e.mu.Unlock()
-		return s, nil
+		if refreshCaptured != nil {
+			refreshCaptured()
+		}
+
+		counts := series(metric, c.Counts)
+		est, step, err := build.Refresh(counts, c.Version, opt, prev, c.Window, nil, c.Cutover)
+		if err == nil && step.Rung == build.Reuse {
+			return old, nil
+		}
+		var em method.ErrorModel
+		if err != nil {
+			err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
+		} else if em, err = errModelFor(opt, counts, est); err != nil {
+			err = fmt.Errorf("engine: error model for %q: %w", name, err)
+		}
+		e.mu.Lock()
+		if err == nil && e.synopses[name] == old {
+			s := &Synopsis{Name: name, Metric: metric, Options: opt, Est: est, ErrModel: em, Version: c.Version, watch: w}
+			e.register(s)
+			e.mu.Unlock()
+			return s, nil
+		}
+		// The build failed, or a drop, install or shard absorption
+		// replaced the synopsis it started from. Either way no registered
+		// synopsis holds the captured mutations, so they go back to the
+		// watch (a fresh watch goes away); after a replacement the
+		// refresh starts over from the new registration.
+		if prev != nil {
+			w.restore(c)
+		} else {
+			delete(e.watches, w)
+		}
+		e.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
-	// The build failed, or a concurrent build or drop replaced the
-	// synopsis it started from. Either way no registered synopsis holds
-	// the captured mutations, so they go back to the watch (a fresh
-	// watch goes away); a build that raced starts over from the new
-	// registration. Until it registers, readers see the replacement,
-	// which may lack these mutations while its Stale reads 0: racing
-	// refreshes converge, they are not serialized.
-	if prev != nil {
-		w.restore(c)
-	} else {
-		delete(e.watches, w)
+}
+
+// lockName takes name's refresh lock and returns its release.
+func (e *Engine) lockName(name string) (unlock func()) {
+	e.mu.Lock()
+	l := e.refreshing[name]
+	if l == nil {
+		l = &nameLock{}
+		e.refreshing[name] = l
 	}
+	l.refs++
 	e.mu.Unlock()
-	if err != nil {
-		return nil, err
+	l.Lock()
+	return func() {
+		l.Unlock()
+		e.mu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(e.refreshing, name)
+		}
+		e.mu.Unlock()
 	}
-	return e.BuildSynopsis(name, metric, opt)
 }
 
 // refreshCaptured, when a test sets it, runs in BuildSynopsis between
-// the capture and the build: where a racing refresh interleaves.
+// the capture and the build, with the name's refresh lock held.
 var refreshCaptured func()
 
 // register installs s under its name, unregistering the watch of the
@@ -626,8 +664,9 @@ func (e *Engine) current(name string) (*Synopsis, error) {
 	stale := e.autoRefresh > 0 && e.version-s.Version > e.autoRefresh
 	e.mu.RUnlock()
 	if stale {
-		// Rebuild from current data; a concurrent refresh of the same
-		// synopsis is harmless (last build wins, both are fresh).
+		// Rebuild from current data; concurrent refreshes of the same
+		// synopsis run one at a time, and a later one reuses an earlier
+		// one's build when nothing changed in between.
 		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
 			return nil, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
 		}

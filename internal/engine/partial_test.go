@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rangeagg/internal/build"
@@ -148,12 +150,12 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 
 // TestConcurrentSegmentedRefreshes checks that two refreshes of one
 // spec racing each other — as auto-refresh runs them from concurrent
-// queries — end with a synopsis holding both of their mutations. The
-// race is staged, not timed: the second refresh runs while the first
-// sits between its capture and its build, so the second registers a
-// synopsis missing the first's write, and the first, finding the
-// synopsis it started from replaced, hands its mutations back and
-// refreshes again from the second's registration.
+// queries — run one at a time, and that no registered synopsis lacks a
+// write while its Stale reads 0. The race is staged, not timed: while
+// the first refresh sits between its capture of the write at x and its
+// build, a second write lands at y and a second refresh starts on its
+// own goroutine. That refresh must wait until the first registers, and
+// then register a synopsis holding both writes.
 func TestConcurrentSegmentedRefreshes(t *testing.T) {
 	const n = 2048
 	opt := build.Options{Method: build.Segmented, BudgetWords: 128, Segments: 2}
@@ -174,14 +176,32 @@ func TestConcurrentSegmentedRefreshes(t *testing.T) {
 	if err := e.Insert(x, 500); err != nil {
 		t.Fatal(err)
 	}
-	var raced *Synopsis
+	var raced, startedFrom *Synopsis
+	var racedErr, insertErr error
+	racedDone := make(chan struct{})
+	var captures atomic.Int32
 	refreshCaptured = func() {
-		refreshCaptured = nil // the first refresh has captured [x,x]
-		if err := e.Insert(y, 500); err != nil {
-			t.Fatal(err)
-		}
-		if raced, err = e.BuildSynopsis("s", Count, opt); err != nil {
-			t.Fatal(err)
+		switch captures.Add(1) {
+		case 1: // the first refresh has captured [x,x]
+			if insertErr = e.Insert(y, 500); insertErr != nil {
+				close(racedDone)
+				return
+			}
+			go func() {
+				defer close(racedDone)
+				raced, racedErr = e.BuildSynopsis("s", Count, opt)
+			}()
+			// Go on building only once the racing refresh has asked
+			// for the name's lock.
+			for queued := 0; queued < 2; runtime.Gosched() {
+				e.mu.RLock()
+				queued = e.refreshing["s"].refs
+				e.mu.RUnlock()
+			}
+		case 2: // the racing refresh has captured
+			e.mu.RLock()
+			startedFrom = e.synopses["s"]
+			e.mu.RUnlock()
 		}
 	}
 	defer func() { refreshCaptured = nil }()
@@ -189,15 +209,25 @@ func TestConcurrentSegmentedRefreshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raced == nil {
-		t.Fatal("the racing refresh never ran")
+	<-racedDone
+	if insertErr != nil || racedErr != nil {
+		t.Fatal(insertErr, racedErr)
 	}
-	ps, rs := old.Est.(*segment.Segmented), raced.Est.(*segment.Segmented)
-	if i := ps.Find(x); rs.Segs[i] != ps.Segs[i] {
-		t.Fatalf("the racing refresh rebuilt segment %d: it should not have seen the write at %d", i, x)
+	if raced == nil || raced == s {
+		t.Fatal("the racing refresh did not register a synopsis of its own")
 	}
-	if cur, err := e.Synopsis("s"); err != nil || cur != s || s == raced {
-		t.Fatalf("registered %p (%v), want the first refresh's retry %p, not the raced %p", cur, err, s, raced)
+	if startedFrom != s {
+		t.Fatalf("the racing refresh captured while the first was building: it started from %p, not the first's %p", startedFrom, s)
+	}
+	ps, fs := old.Est.(*segment.Segmented), s.Est.(*segment.Segmented)
+	if i := ps.Find(y); fs.Segs[i] != ps.Segs[i] {
+		t.Fatalf("the first refresh rebuilt segment %d: it captured before the write at %d", i, y)
+	}
+	if st := e.Stale(s); st == 0 {
+		t.Fatal("the first refresh's synopsis lacks the write at y yet reads Stale 0")
+	}
+	if cur, err := e.Synopsis("s"); err != nil || cur != raced || e.Stale(raced) != 0 {
+		t.Fatalf("registered %p (%v), want the racing refresh's %p at Stale 0", cur, err, raced)
 	}
 	want, err := ref.BuildSynopsis("s", Count, opt)
 	if err != nil {
@@ -205,9 +235,14 @@ func TestConcurrentSegmentedRefreshes(t *testing.T) {
 	}
 	for a := 0; a < n; a += 37 {
 		for b := a; b < n; b += 41 {
-			if got, w := s.Est.Estimate(a, b), want.Est.Estimate(a, b); got != w {
+			if got, w := raced.Est.Estimate(a, b), want.Est.Estimate(a, b); got != w {
 				t.Fatalf("[%d,%d] answers %v after the race, %v after one refresh of both writes", a, b, got, w)
 			}
 		}
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if len(e.refreshing) != 0 {
+		t.Fatalf("%d refresh locks outlive their refreshes", len(e.refreshing))
 	}
 }

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 
 	"rangeagg/internal/dp"
 	"rangeagg/internal/parallel"
@@ -36,46 +37,61 @@ func (p *Plan) TotalUnits() int {
 	return t
 }
 
-// curveFor computes the error-vs-space curve of one segment: curve[u] =
-// (coarsened) optimal A0 cost of summarizing counts[lo..hi] with u
-// buckets, non-increasing in u (running minimum applied). The A0 fused
-// cost is the same range-SSE surrogate the advisor's sweep and the
-// approximate builder optimize, so the allocator ranks segments on the
-// axis the per-segment builds will actually minimize.
-func curveFor(counts []int64, lo, hi int) ([]float64, error) {
+// curve is one segment's error-vs-space curve, extended one layer at a
+// time as far as the greedy reads it: vals[u] is the (coarsened)
+// optimal A0 cost of summarizing the segment with u buckets, under a
+// running minimum. The A0 fused cost is the same range-SSE surrogate
+// the advisor's sweep and the approximate builder optimize, so the
+// allocator ranks segments on the axis the per-segment builds will
+// actually minimize.
+type curve struct {
+	dp   *dp.Stepper
+	vals []float64 // vals[0] = +inf: zero buckets cover nothing
+	max  int       // the last bucket count the curve reaches
+}
+
+func newCurve(counts []int64, lo, hi int) *curve {
+	series := curveSeries(counts, lo, hi)
+	return &curve{
+		dp:   dp.NewA0Stepper(prefix.NewTable(series)),
+		vals: []float64{math.Inf(1)},
+		max:  min(maxCurveUnits, len(series)),
+	}
+}
+
+// curveSeries is the series a segment's curve summarizes:
+// counts[lo..hi], pre-aggregated to curveCells equal-width cells when
+// wider.
+func curveSeries(counts []int64, lo, hi int) []int64 {
 	width := hi - lo + 1
 	series := counts[lo : hi+1]
-	if width > curveCells {
-		coarse := make([]int64, curveCells)
-		for c := 0; c < curveCells; c++ {
-			a, b := c*width/curveCells, (c+1)*width/curveCells
-			var s int64
-			for j := a; j < b; j++ {
-				s += series[j]
-			}
-			coarse[c] = s
-		}
-		series = coarse
-		width = curveCells
+	if width <= curveCells {
+		return series
 	}
-	maxB := maxCurveUnits
-	if maxB > width {
-		maxB = width
-	}
-	tab := prefix.NewTable(series)
-	curve, err := dp.SolveCurve(width, maxB, dp.FusedA0Cost(tab))
-	if err != nil {
-		return nil, err
-	}
-	// Force monotone non-increasing: adding a bucket can only help the
-	// true objective, but per-layer DP optima need not be monotone for
-	// the fused surrogate. Running min keeps every marginal gain ≥ 0.
-	for u := 2; u < len(curve); u++ {
-		if curve[u] > curve[u-1] {
-			curve[u] = curve[u-1]
+	coarse := make([]int64, curveCells)
+	for c := range coarse {
+		a, b := c*width/curveCells, (c+1)*width/curveCells
+		for _, v := range series[a:b] {
+			coarse[c] += v
 		}
 	}
-	return curve, nil
+	return coarse
+}
+
+// at returns the curve at u ≤ max buckets, stepping the DP as needed.
+func (c *curve) at(u int) float64 {
+	for len(c.vals) <= u {
+		// Force monotone non-increasing: adding a bucket can only help
+		// the true objective, but per-layer DP optima need not be
+		// monotone for the fused surrogate. Running min keeps every
+		// marginal gain ≥ 0.
+		v := c.dp.Step()
+		if last := c.vals[len(c.vals)-1]; v > last {
+			v = last
+		}
+		c.vals = append(c.vals, v)
+	}
+	return c.vals[u]
 }
 
 // Allocate distributes totalUnits buckets across the segments of the
@@ -86,7 +102,10 @@ func curveFor(counts []int64, lo, hi int) ([]float64, error) {
 // the lowest segment index, making the allocation deterministic and —
 // because the curves do not depend on the budget — monotone in
 // totalUnits: growing the budget never shrinks any segment's share.
-// Per-segment curves are computed concurrently on the shared pool.
+// A segment's curve is computed only as far as the greedy reads it, up
+// to one layer past its allocation: the first two layers of every
+// segment concurrently on the shared pool, each later one layer-parallel
+// as its segment wins a bucket.
 func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	if err := validStarts(len(counts), starts); err != nil {
 		return nil, err
@@ -95,29 +114,24 @@ func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	if totalUnits < k {
 		return nil, fmt.Errorf("segment: %d units cannot cover %d segments (one bucket each minimum)", totalUnits, k)
 	}
-	curves := make([][]float64, k)
-	errs := make([]error, k)
-	parallel.ForEach(k, func(i int) {
-		lo, hi := segBounds(len(counts), starts, i)
-		curves[i], errs[i] = curveFor(counts, lo, hi)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("segment: allocation curve for segment %d: %w", i, err)
-		}
-	}
 	units := make([]int, k)
 	for i := range units {
 		units[i] = 1
 	}
+	curves := make([]*curve, k)
+	parallel.ForEach(k, func(i int) {
+		lo, hi := segBounds(len(counts), starts, i)
+		curves[i] = newCurve(counts, lo, hi)
+		curves[i].at(min(2, curves[i].max))
+	})
 	for remaining := totalUnits - k; remaining > 0; remaining-- {
 		best, bestGain := -1, -1.0
-		for i := 0; i < k; i++ {
+		for i, c := range curves {
 			u := units[i]
-			if u+1 >= len(curves[i]) {
+			if u >= c.max {
 				continue // segment at its curve cap (or at one bucket per value)
 			}
-			if gain := curves[i][u] - curves[i][u+1]; gain > bestGain {
+			if gain := c.at(u) - c.at(u+1); gain > bestGain {
 				best, bestGain = i, gain
 			}
 		}

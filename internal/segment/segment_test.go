@@ -3,8 +3,12 @@ package segment
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"rangeagg/internal/dp"
+	"rangeagg/internal/parallel"
 	"rangeagg/internal/prefix"
 )
 
@@ -319,6 +323,123 @@ func TestClampK(t *testing.T) {
 	for _, c := range cases {
 		if got := clampK(c.k, c.n, c.w); got != c.want {
 			t.Errorf("clampK(%d,%d,%d) = %d, want %d", c.k, c.n, c.w, got, c.want)
+		}
+	}
+}
+
+// eagerCurve is a segment's curve computed the way the allocator did
+// before it stepped layers on demand: every layer up to the cap at once,
+// through a serial DP on the closure form of the fused A0 cost, then a
+// running minimum.
+func eagerCurve(counts []int64, lo, hi int) []float64 {
+	series := curveSeries(counts, lo, hi)
+	n := len(series)
+	cost := dp.FusedA0Cost(prefix.NewTable(series))
+	prev := make([]float64, n+1)
+	for i := 1; i <= n; i++ {
+		prev[i] = math.MaxFloat64
+	}
+	curve := []float64{math.MaxFloat64}
+	for k := 1; k <= min(maxCurveUnits, n); k++ {
+		cur := make([]float64, n+1)
+		for i := range cur {
+			cur[i] = math.MaxFloat64
+			for j := k - 1; j < i; j++ {
+				if prev[j] >= cur[i] {
+					continue
+				}
+				if c := prev[j] + cost(j, i-1); c < cur[i] {
+					cur[i] = c
+				}
+			}
+		}
+		curve = append(curve, min(cur[n], curve[k-1]))
+		prev = cur
+	}
+	return curve
+}
+
+// eagerAllocate is the greedy marginal-gain allocation over eager
+// curves.
+func eagerAllocate(curves [][]float64, totalUnits int) []int {
+	units := make([]int, len(curves))
+	for i := range units {
+		units[i] = 1
+	}
+	for remaining := totalUnits - len(curves); remaining > 0; remaining-- {
+		best, bestGain := -1, -1.0
+		for i, c := range curves {
+			if u := units[i]; u+1 < len(c) && c[u]-c[u+1] > bestGain {
+				best, bestGain = i, c[u]-c[u+1]
+			}
+		}
+		if best < 0 {
+			break
+		}
+		units[best]++
+	}
+	return units
+}
+
+// TestAllocateMatchesEagerCurves checks that stepping each curve only
+// as far as the greedy reads it allocates exactly what the eager
+// all-layers curves do, at pool widths 1 and 3: over random series,
+// partitions and budgets, with all-zero segments, segments narrower
+// than curveCells and coarsened wider ones, and budgets that drive
+// segments to maxCurveUnits and past every cap.
+func TestAllocateMatchesEagerCurves(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type tc struct {
+		counts []int64
+		starts []int
+		units  []int
+	}
+	var cases []tc
+	for c := 0; c < 10; c++ {
+		n := 40 + rng.Intn(200)
+		counts := zipfish(n, int64(c))
+		k := 1 + rng.Intn(5)
+		starts := []int{0}
+		for _, p := range rng.Perm(n - 1)[:k-1] {
+			starts = append(starts, p+1)
+		}
+		sort.Ints(starts)
+		if c%3 == 0 { // zero out one segment
+			lo, hi := segBounds(n, starts, rng.Intn(k))
+			clear(counts[lo : hi+1])
+		}
+		cases = append(cases, tc{counts, starts, []int{k, k + 1 + rng.Intn(3*k), k + rng.Intn(n)}})
+	}
+	// Wide segments: one coarsened past curveCells, one all zero, and
+	// budgets that reach maxCurveUnits in one segment and exhaust every
+	// curve.
+	wide := zipfish(1400, 99)
+	clear(wide[1200:])
+	cases = append(cases, tc{wide, []int{0, 900, 1200}, []int{140, 200, 400}})
+
+	for ci, c := range cases {
+		curves := make([][]float64, len(c.starts))
+		for i := range curves {
+			lo, hi := segBounds(len(c.counts), c.starts, i)
+			curves[i] = eagerCurve(c.counts, lo, hi)
+		}
+		for _, total := range c.units {
+			want := eagerAllocate(curves, total)
+			for _, w := range []int{1, 3} {
+				prev := parallel.SetWorkers(w)
+				pl, err := Allocate(c.counts, c.starts, total)
+				parallel.SetWorkers(prev)
+				if err != nil {
+					t.Fatalf("case %d, %d units, width %d: %v", ci, total, w, err)
+				}
+				if !slices.Equal(pl.Units, want) {
+					t.Fatalf("case %d (starts %v), %d units, width %d: allocated %v, eager curves allocate %v",
+						ci, c.starts, total, w, pl.Units, want)
+				}
+			}
+			if ci == len(cases)-1 && total == 400 && !slices.Equal(want, []int{maxCurveUnits, maxCurveUnits, maxCurveUnits}) {
+				t.Fatalf("400 units should exhaust every curve of the wide case at %d: %v", maxCurveUnits, want)
+			}
 		}
 	}
 }
