@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlannerBudget -fuzztime 10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzIngestMaintain -fuzztime 10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzBatchWire -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzA0KernelMatchesClosure -fuzztime 10s ./internal/approx
 
 # The single source of truth for the floor-gated package list: CI's
 # coverage step runs `make cover` rather than repeating it.
@@ -44,7 +45,7 @@ cover:
 		rangeagg/internal/segment rangeagg/internal/cluster \
 		rangeagg/internal/reopt rangeagg/internal/ingest \
 		rangeagg/internal/engine rangeagg/internal/build \
-		rangeagg/internal/parallel rangeagg/internal/dp
+		rangeagg/internal/parallel rangeagg/internal/dp rangeagg/internal/approx
 
 lint: gofmt
 	$(GO) vet ./...

@@ -11,6 +11,12 @@
 // O(n) moment-table pass. Working state is the candidate lists plus a
 // node arena for backtracking, O((B²/ε)·log n) words.
 //
+// Evaluation paths. Partition, SAP0 and PointOpt scan candidates through
+// a cost closure. A0 scans through the A0 kernel (kernel.go), which
+// computes dp.FusedA0Cost's algebra without a call per candidate, reading
+// left-end moments that each candidate carries in its layer; it returns
+// the closure scan's partition, total and work counters bit for bit.
+//
 // Approximation scheme (DESIGN.md §6g). Let E_k(i) be the optimal cost of
 // covering the prefix of length i with at most k buckets, and val_k(i)
 // the sparse DP's value. Candidates for layer k are the endpoints of the
@@ -85,10 +91,13 @@ type node struct {
 
 // layer is one DP layer's sparse candidate set: ascending prefix lengths,
 // their (approximate) values, and the arena node realizing each value.
+// Under the A0 kernel each candidate also carries its left-end moments,
+// so the candidate scan reads them contiguously.
 type layer struct {
 	pos  []int32
 	val  []float64
 	node []int32
+	left []a0Left // A0 kernel only; nil on the closure path
 }
 
 // stats aggregates one Partition call's work counters for internal/obs.
@@ -104,6 +113,7 @@ type partitioner struct {
 	n     int
 	b     int
 	cost  dp.CostFunc
+	a0    *a0Kernel // non-nil: candidate scans compute the A0 cost inline
 	delta float64
 	theta float64
 
@@ -126,52 +136,13 @@ func (p *partitioner) eval(k, i int) int32 {
 	p.st.oracleEvals++
 	prev := &p.layers[k-1]
 	// hi = last candidate with pos ≤ i−1; pos[0] = 0 guarantees hi ≥ 0.
-	hi := sort.Search(len(prev.pos), func(x int) bool { return prev.pos[x] > int32(i-1) }) - 1
-
-	best := math.Inf(1)
-	bestCand := -1
-	evalCand := func(c int) {
-		if prev.val[c] >= best {
-			p.st.pruned++
-			return // cost ≥ 0: a value at best already loses
-		}
-		p.st.costEvals++
-		if t := prev.val[c] + p.cost(int(prev.pos[c]), i-1); t < best {
-			best, bestCand = t, c
-		}
-	}
-	// Warm start: consecutive oracle probes move the right end i a little,
-	// so the winning predecessor is usually the same candidate; evaluating
-	// it first seeds a tight cutoff for the scan below.
-	if w := p.warm[k]; w >= 0 && w <= hi {
-		evalCand(w)
-	}
-	// Pruned scan. Low candidates open a huge last bucket [pos, i−1]
-	// whose cost alone dwarfs best; the cost shrinks as pos grows for a
-	// fixed right end (the suffix weight is constant within one oracle
-	// evaluation), so they form a prefix of the list — binary search past
-	// it with a 2× safety margin for the mild non-monotonicity of the
-	// prefix-weighted term. From there, scan until the first candidate
-	// whose value alone reaches best: values rise along the list up to
-	// threshold-step dips, so later candidates almost surely lose too.
-	// Both cutoffs are exact for interval-monotone costs and empirically
-	// tight for the positionally-weighted ones (the differential suite
-	// guards them).
-	lo := 0
-	if bestCand >= 0 && hi > 8 {
-		cut := 2 * best
-		lo = sort.Search(hi, func(x int) bool {
-			p.st.costEvals++
-			return p.cost(int(prev.pos[x]), i-1) < cut
-		})
-		p.st.pruned += int64(lo)
-	}
-	for c := lo; c <= hi; c++ {
-		if prev.val[c] >= best {
-			p.st.pruned += int64(hi - c + 1)
-			break
-		}
-		evalCand(c)
+	hi := lastAtMost(prev.pos, int32(i-1))
+	var best float64
+	var bestCand int
+	if p.a0 != nil {
+		best, bestCand = p.a0.scan(prev, hi, i, p.warm[k], p.st)
+	} else {
+		best, bestCand = p.scan(prev, hi, i, p.warm[k])
 	}
 	// Fallback: when i−1 itself is not a candidate, the optimal layer-(k−1)
 	// boundary may hide inside the candidate interval straddling i−1; split
@@ -201,6 +172,74 @@ func (p *partitioner) eval(k, i int) int32 {
 	return idx
 }
 
+// lastAtMost returns the index of the last entry of the ascending pos
+// that is ≤ x, or −1 if none is.
+func lastAtMost(pos []int32, x int32) int {
+	lo, hi := 0, len(pos)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if pos[h] <= x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo - 1
+}
+
+// scan finds the best layer-(k−1) candidate c ≤ hi for the last bucket
+// [pos[c], i−1] through the cost closure, returning its total and index
+// (−1 when every candidate was pruned). warm is the candidate that won
+// the layer's previous evaluation, or −1.
+func (p *partitioner) scan(prev *layer, hi, i, warm int) (float64, int) {
+	best := math.Inf(1)
+	bestCand := -1
+	evalCand := func(c int) {
+		if prev.val[c] >= best {
+			p.st.pruned++
+			return // cost ≥ 0: a value at best already loses
+		}
+		p.st.costEvals++
+		if t := prev.val[c] + p.cost(int(prev.pos[c]), i-1); t < best {
+			best, bestCand = t, c
+		}
+	}
+	// Warm start: consecutive oracle probes move the right end i a little,
+	// so the winning predecessor is usually the same candidate; evaluating
+	// it first seeds a tight cutoff for the scan below.
+	if warm >= 0 && warm <= hi {
+		evalCand(warm)
+	}
+	// Pruned scan. Low candidates open a huge last bucket [pos, i−1]
+	// whose cost alone dwarfs best; the cost shrinks as pos grows for a
+	// fixed right end (the suffix weight is constant within one oracle
+	// evaluation), so they form a prefix of the list — binary search past
+	// it with a 2× safety margin for the mild non-monotonicity of the
+	// prefix-weighted term. From there, scan until the first candidate
+	// whose value alone reaches best: values rise along the list up to
+	// threshold-step dips, so later candidates almost surely lose too.
+	// Both cutoffs are exact for interval-monotone costs and empirically
+	// tight for the positionally-weighted ones (the differential suite
+	// guards them).
+	lo := 0
+	if bestCand >= 0 && hi > 8 {
+		cut := 2 * best
+		lo = sort.Search(hi, func(x int) bool {
+			p.st.costEvals++
+			return p.cost(int(prev.pos[x]), i-1) < cut
+		})
+		p.st.pruned += int64(lo)
+	}
+	for c := lo; c <= hi; c++ {
+		if prev.val[c] >= best {
+			p.st.pruned += int64(hi - c + 1)
+			break
+		}
+		evalCand(c)
+	}
+	return best, bestCand
+}
+
 // buildLayer constructs layer k's candidate set by monotone threshold
 // search: starting from each unresolved position s, gallop then binary
 // search for the farthest r with val_k(r) ≤ max((1+δ)·val_k(s),
@@ -208,7 +247,8 @@ func (p *partitioner) eval(k, i int) int32 {
 // floor keeps the candidate count independent of the data magnitude near
 // val ≈ 0.
 func (p *partitioner) buildLayer(k int) {
-	lay := layer{pos: []int32{0}, val: []float64{0}, node: []int32{0}}
+	lay := &p.layers[k]
+	p.emptyPrefix(lay)
 	s := 1
 	for s <= p.n {
 		ns := p.eval(k, s)
@@ -239,24 +279,38 @@ func (p *partitioner) buildLayer(k int) {
 			}
 		}
 		if lo > s {
-			lay.pos = append(lay.pos, int32(s))
-			lay.val = append(lay.val, v)
-			lay.node = append(lay.node, ns)
+			p.add(lay, int32(s), v, ns)
 		}
-		lay.pos = append(lay.pos, int32(lo))
-		lay.val = append(lay.val, p.arena[loNode].val)
-		lay.node = append(lay.node, loNode)
+		p.add(lay, int32(lo), p.arena[loNode].val, loNode)
 		s = lo + 1
 	}
 	p.st.breakpoints += int64(len(lay.pos))
-	p.layers[k] = lay
+}
+
+// emptyPrefix resets lay to hold only the empty prefix (pos 0, value 0,
+// the root node). It keeps lay's buffers: a layer is rebuilt once per
+// pass, after every read of its previous pass's candidates.
+func (p *partitioner) emptyPrefix(lay *layer) {
+	lay.pos, lay.val, lay.node, lay.left = lay.pos[:0], lay.val[:0], lay.node[:0], lay.left[:0]
+	p.add(lay, 0, 0, 0)
+}
+
+// add appends a candidate to lay, with its left-end moments under the A0
+// kernel.
+func (p *partitioner) add(lay *layer, pos int32, val float64, nd int32) {
+	lay.pos = append(lay.pos, pos)
+	lay.val = append(lay.val, val)
+	lay.node = append(lay.node, nd)
+	if p.a0 != nil {
+		lay.left = append(lay.left, p.a0.left(pos))
+	}
 }
 
 // run executes one full sparse DP pass at the current (δ, θ) and returns
 // the arena index of the final partition (prefix n, ≤ b buckets).
 func (p *partitioner) run() int32 {
 	p.arena = append(p.arena[:0], node{bound: -1, prev: -1, val: 0})
-	p.layers[0] = layer{pos: []int32{0}, val: []float64{0}, node: []int32{0}}
+	p.emptyPrefix(&p.layers[0])
 	for k := range p.warm {
 		p.warm[k] = -1
 	}
@@ -291,11 +345,15 @@ func (p *partitioner) startsOf(final int32) []int {
 // requested ε. The best partition seen across passes is returned, so
 // extra passes never hurt.
 func Partition(n, b int, eps float64, cost dp.CostFunc) ([]int, float64, error) {
-	starts, total, _, err := partition(n, b, eps, cost)
+	starts, total, _, err := partition(n, b, eps, cost, nil)
 	return starts, total, err
 }
 
-func partition(n, b int, eps float64, cost dp.CostFunc) ([]int, float64, stats, error) {
+// partition is Partition with its work counters. A non-nil a0 runs the
+// oracle evaluations' candidate scans through the A0 kernel, which must
+// compute the same cost as the closure; cost still serves the cold paths
+// (the equi-width seed, the singleton fallback and refineBoundaries).
+func partition(n, b int, eps float64, cost dp.CostFunc, a0 *a0Kernel) ([]int, float64, stats, error) {
 	var st stats
 	if err := ValidateEpsilon(eps); err != nil {
 		return nil, 0, st, err
@@ -328,7 +386,7 @@ func partition(n, b int, eps float64, cost dp.CostFunc) ([]int, float64, stats, 
 	}
 	bestStarts, bestTotal := ewStarts, vhat
 
-	p := &partitioner{n: n, b: b, cost: cost, layers: make([]layer, b), warm: make([]int, b+1), st: &st}
+	p := &partitioner{n: n, b: b, cost: cost, a0: a0, layers: make([]layer, b), warm: make([]int, b+1), st: &st}
 	coarse := math.Max(eps, 0.5)
 	const maxPasses = 64
 	for pass := 0; pass < maxPasses; pass++ {
@@ -422,10 +480,10 @@ func refineBoundaries(n int, starts []int, cost dp.CostFunc, st *stats) ([]int, 
 // timedPartition runs partition under the approx metric family: a latency
 // histogram plus work counters, labeled by the method's base name (ε is
 // kept out of the label to bound series cardinality).
-func timedPartition(metric string, n, b int, eps float64, cost dp.CostFunc) ([]int, error) {
+func timedPartition(metric string, n, b int, eps float64, cost dp.CostFunc, a0 *a0Kernel) ([]int, error) {
 	lbl := obs.L("method", metric)
 	start := time.Now()
-	starts, _, st, err := partition(n, b, eps, cost)
+	starts, _, st, err := partition(n, b, eps, cost, a0)
 	obs.Default.Histogram("rangeagg_approx_partition_seconds", lbl...).Since(start)
 	obs.Default.Counter("rangeagg_approx_breakpoints_total", lbl...).Add(st.breakpoints)
 	obs.Default.Counter("rangeagg_approx_oracle_evals_total", lbl...).Add(st.oracleEvals)
@@ -440,7 +498,7 @@ func timedPartition(metric string, n, b int, eps float64, cost dp.CostFunc) ([]i
 // lemma), so the (1+eps) bound on the partition cost is a (1+eps) bound
 // on the synopsis's true range error.
 func SAP0(tab *prefix.Table, b int, eps float64) (*histogram.SAP0, error) {
-	starts, err := timedPartition("SAP0-APPROX", tab.N(), b, eps, dp.FusedSAP0Cost(tab))
+	starts, err := timedPartition("SAP0-APPROX", tab.N(), b, eps, dp.FusedSAP0Cost(tab), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +513,7 @@ func SAP0(tab *prefix.Table, b int, eps float64) (*histogram.SAP0, error) {
 // buckets, approximating the same cross-term-free objective the exact A0
 // dynamic program minimizes.
 func A0(tab *prefix.Table, b int, eps float64, mode histogram.Rounding) (*histogram.Avg, error) {
-	starts, err := timedPartition("A0-APPROX", tab.N(), b, eps, dp.FusedA0Cost(tab))
+	starts, err := timedPartition("A0-APPROX", tab.N(), b, eps, dp.FusedA0Cost(tab), newA0Kernel(tab))
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +531,7 @@ func A0(tab *prefix.Table, b int, eps float64, mode histogram.Rounding) (*histog
 func PointOpt(tab *prefix.Table, counts []int64, b int, eps float64, mode histogram.Rounding) (*histogram.Avg, error) {
 	n := len(counts)
 	cw, cwa, cwa2 := dp.WeightedMomentTables(counts, dp.PointOptWeights(n))
-	starts, err := timedPartition("POINT-OPT-APPROX", n, b, eps, dp.WeightedVarCost(cw, cwa, cwa2))
+	starts, err := timedPartition("POINT-OPT-APPROX", n, b, eps, dp.WeightedVarCost(cw, cwa, cwa2), nil)
 	if err != nil {
 		return nil, err
 	}

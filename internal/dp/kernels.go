@@ -372,6 +372,8 @@ func FusedSAP0Cost(tab *prefix.Table) CostFunc {
 
 // FusedA0Cost returns the A0 per-bucket cost (cross term ignored),
 // computed with a0Kernel's fused moment algebra. Values match A0Cost.
+// internal/approx's A0 kernel repeats this algebra inline, bit for bit
+// (its TestA0KernelMatchesClosure compares the two).
 func FusedA0Cost(tab *prefix.Table) CostFunc {
 	mom := tab.Moments()
 	p, cumP, cumP2, cumUP := mom.P, mom.CumP, mom.CumP2, mom.CumUP

@@ -50,13 +50,31 @@ type curve struct {
 	max  int       // the last bucket count the curve reaches
 }
 
+// newCurve returns the segment's curve. A constant segment (all zero
+// included) is saturated at one bucket, which already answers every
+// range inside it exactly; its curve has no layers to step. The
+// curve's own values cannot say so: coarsening and the running minimum
+// can flatten a step that a finer summary would still take.
 func newCurve(counts []int64, lo, hi int) *curve {
+	if constant(counts[lo : hi+1]) {
+		return &curve{max: 1}
+	}
 	series := curveSeries(counts, lo, hi)
 	return &curve{
 		dp:   dp.NewA0Stepper(prefix.NewTable(series)),
 		vals: []float64{math.Inf(1)},
 		max:  min(maxCurveUnits, len(series)),
 	}
+}
+
+// constant reports whether every count of seg is the same.
+func constant(seg []int64) bool {
+	for _, v := range seg {
+		if v != seg[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // curveSeries is the series a segment's curve summarizes:
@@ -102,10 +120,12 @@ func (c *curve) at(u int) float64 {
 // the lowest segment index, making the allocation deterministic and —
 // because the curves do not depend on the budget — monotone in
 // totalUnits: growing the budget never shrinks any segment's share.
-// A segment's curve is computed only as far as the greedy reads it, up
-// to one layer past its allocation: the first two layers of every
-// segment concurrently on the shared pool, each later one layer-parallel
-// as its segment wins a bucket.
+// A constant segment keeps its one bucket, so a budget larger than the
+// other segments' curves can use is left unspent rather than given to
+// segments where it buys nothing. A segment's curve is computed only as
+// far as the greedy reads it, up to one layer past its allocation: the
+// first two layers of every other segment concurrently on the shared
+// pool, each later one layer-parallel as its segment wins a bucket.
 func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	if err := validStarts(len(counts), starts); err != nil {
 		return nil, err
@@ -121,8 +141,11 @@ func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	curves := make([]*curve, k)
 	parallel.ForEach(k, func(i int) {
 		lo, hi := segBounds(len(counts), starts, i)
-		curves[i] = newCurve(counts, lo, hi)
-		curves[i].at(min(2, curves[i].max))
+		c := newCurve(counts, lo, hi)
+		if c.max > 1 {
+			c.at(2)
+		}
+		curves[i] = c
 	})
 	for remaining := totalUnits - k; remaining > 0; remaining-- {
 		best, bestGain := -1, -1.0

@@ -360,8 +360,8 @@ func eagerCurve(counts []int64, lo, hi int) []float64 {
 }
 
 // eagerAllocate is the greedy marginal-gain allocation over eager
-// curves.
-func eagerAllocate(curves [][]float64, totalUnits int) []int {
+// curves, with the segments that flat marks saturated at one bucket.
+func eagerAllocate(curves [][]float64, flat []bool, totalUnits int) []int {
 	units := make([]int, len(curves))
 	for i := range units {
 		units[i] = 1
@@ -369,7 +369,7 @@ func eagerAllocate(curves [][]float64, totalUnits int) []int {
 	for remaining := totalUnits - len(curves); remaining > 0; remaining-- {
 		best, bestGain := -1, -1.0
 		for i, c := range curves {
-			if u := units[i]; u+1 < len(c) && c[u]-c[u+1] > bestGain {
+			if u := units[i]; !flat[i] && u+1 < len(c) && c[u]-c[u+1] > bestGain {
 				best, bestGain = i, c[u]-c[u+1]
 			}
 		}
@@ -411,20 +411,22 @@ func TestAllocateMatchesEagerCurves(t *testing.T) {
 		cases = append(cases, tc{counts, starts, []int{k, k + 1 + rng.Intn(3*k), k + rng.Intn(n)}})
 	}
 	// Wide segments: one coarsened past curveCells, one all zero, and
-	// budgets that reach maxCurveUnits in one segment and exhaust every
-	// curve.
+	// budgets that reach maxCurveUnits in one segment and exhaust both
+	// non-zero curves.
 	wide := zipfish(1400, 99)
 	clear(wide[1200:])
 	cases = append(cases, tc{wide, []int{0, 900, 1200}, []int{140, 200, 400}})
 
 	for ci, c := range cases {
 		curves := make([][]float64, len(c.starts))
+		flat := make([]bool, len(c.starts))
 		for i := range curves {
 			lo, hi := segBounds(len(c.counts), c.starts, i)
 			curves[i] = eagerCurve(c.counts, lo, hi)
+			flat[i] = slices.Min(c.counts[lo:hi+1]) == slices.Max(c.counts[lo:hi+1])
 		}
 		for _, total := range c.units {
-			want := eagerAllocate(curves, total)
+			want := eagerAllocate(curves, flat, total)
 			for _, w := range []int{1, 3} {
 				prev := parallel.SetWorkers(w)
 				pl, err := Allocate(c.counts, c.starts, total)
@@ -437,9 +439,34 @@ func TestAllocateMatchesEagerCurves(t *testing.T) {
 						ci, c.starts, total, w, pl.Units, want)
 				}
 			}
-			if ci == len(cases)-1 && total == 400 && !slices.Equal(want, []int{maxCurveUnits, maxCurveUnits, maxCurveUnits}) {
-				t.Fatalf("400 units should exhaust every curve of the wide case at %d: %v", maxCurveUnits, want)
+			if ci == len(cases)-1 && total == 400 && !slices.Equal(want, []int{maxCurveUnits, maxCurveUnits, 1}) {
+				t.Fatalf("400 units should exhaust both non-zero curves of the wide case at %d and leave the zero segment one bucket: %v", maxCurveUnits, want)
 			}
+		}
+	}
+}
+
+// TestAllocateConstantSegmentKeepsOneBucket checks the saturation rule:
+// a constant segment, all zero or not, gets exactly one bucket at every
+// budget, and the budget the other segments' curves cannot use stays
+// unspent.
+func TestAllocateConstantSegmentKeepsOneBucket(t *testing.T) {
+	counts := zipfish(600, 3)
+	for i := 200; i < 350; i++ {
+		counts[i] = 7
+	}
+	clear(counts[350:450])
+	starts := []int{0, 200, 350, 450}
+	for _, total := range []int{4, 5, 8, 20, 64, 130, 200, 256, 258, 400} {
+		pl, err := Allocate(counts, starts, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Units[1] != 1 || pl.Units[2] != 1 {
+			t.Fatalf("%d units: constant segments got %v, want one bucket each", total, pl.Units)
+		}
+		if want := min(total, 2*maxCurveUnits+2); pl.TotalUnits() != want {
+			t.Fatalf("%d units: allocated %v (%d), want %d", total, pl.Units, pl.TotalUnits(), want)
 		}
 	}
 }
