@@ -112,22 +112,12 @@ func main() {
 			fatal(fmt.Errorf("-maxerr must be non-negative, got %g", *maxErr))
 		}
 		tab := prefix.NewTable(counts)
-		em, emErr := method.ErrorBoundFor(tab, syn)
+		em, _ := method.ErrorBoundFor(tab, syn)
 		planner = plan.New(0)
 		view = &plan.View{
-			Domain: syn.N(),
-			Sources: []plan.Source{{
-				Name:     syn.Name(),
-				Words:    syn.StorageWords(),
-				Estimate: syn.Estimate,
-				Bound: func(a, b int) (float64, bool, bool) {
-					if emErr != nil {
-						return 0, false, false
-					}
-					return em.Bound(a, b), em.Rigorous(), true
-				},
-			}},
-			Exact: func(a, b int) float64 { return tab.SumF(a, b) },
+			Domain:  syn.N(),
+			Sources: []plan.Source{plan.NewSource(syn.Name(), syn, em)},
+			Exact:   func(a, b int) float64 { return tab.SumF(a, b) },
 		}
 	}
 

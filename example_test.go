@@ -80,7 +80,8 @@ func ExampleBuild2D() {
 	// WAVE-RANGEOPT-2D: whole grid ≈ 58 (exact 70)
 }
 
-// Dynamic maintenance: O(log n) point updates, queries always current.
+// Dynamic maintenance: an update is O(1) on an exact copy of the counts,
+// and the next read rebuilds WAVE-RANGEOPT, so answers are always current.
 func ExampleNewDynamic() {
 	counts := make([]int64, 15)
 	d, err := rangeagg.NewDynamic(counts, 32) // enough for every coefficient: exact

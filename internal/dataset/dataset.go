@@ -145,16 +145,6 @@ func (d *Distribution) Clone() *Distribution {
 	return &Distribution{Name: d.Name, Counts: c}
 }
 
-// Floats returns the counts converted to float64, a convenience for the
-// numeric layers (wavelets, regression moments).
-func (d *Distribution) Floats() []float64 {
-	f := make([]float64, len(d.Counts))
-	for i, c := range d.Counts {
-		f[i] = float64(c)
-	}
-	return f
-}
-
 // String implements fmt.Stringer with a short summary, not the raw counts.
 func (d *Distribution) String() string {
 	return fmt.Sprintf("%s{n=%d total=%d max=%d skew=%.2f}",

@@ -393,7 +393,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 		var em method.ErrorModel
 		if err != nil {
 			err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
-		} else if em, err = errModelFor(opt, counts, est); err != nil {
+		} else if em, err = method.ModelFor(opt.Method, prefix.NewTable(counts), est); err != nil {
 			err = fmt.Errorf("engine: error model for %q: %w", name, err)
 		}
 		e.mu.Lock()
@@ -453,17 +453,6 @@ func (e *Engine) register(s *Synopsis) {
 		delete(e.watches, old.watch)
 	}
 	e.synopses[s.Name] = s
-}
-
-// errModelFor builds the per-range error model of a freshly constructed
-// estimator when its method is error-bounded; counts must be the series
-// the estimator was built from.
-func errModelFor(opt build.Options, counts []int64, est build.Estimator) (method.ErrorModel, error) {
-	d, err := method.Lookup(opt.Method)
-	if err != nil || !d.Caps.Has(method.ErrorBounded) {
-		return nil, nil
-	}
-	return d.ErrorBound(prefix.NewTable(counts), est)
 }
 
 // SynopsisSpec names one synopsis a serving layer publishes.
@@ -566,7 +555,7 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 	// error model is rebuilt against the post-merge data. A model failure
 	// is not fatal: the absorption (a logged, replayable mutation) already
 	// happened, so the synopsis just serves without bounds.
-	em, _ := errModelFor(opts, e.metricCounts(metric), est)
+	em, _ := method.ModelFor(opts.Method, prefix.NewTable(e.metricCounts(metric)), est)
 	// The merged estimator reflects the post-merge distribution exactly,
 	// so its watch starts clean (every other watch was marked fully
 	// dirty by the absorption above).
@@ -590,7 +579,7 @@ func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options,
 	defer e.mu.Unlock()
 	// Recovered estimators get their error model rebuilt against the
 	// recovered data; a failure leaves the synopsis serving unbounded.
-	em, _ := errModelFor(opts, e.metricCounts(metric), est)
+	em, _ := method.ModelFor(opts.Method, prefix.NewTable(e.metricCounts(metric)), est)
 	s := &Synopsis{Name: name, Metric: metric, Options: opts, Est: est, ErrModel: em, Version: e.version, watch: e.watch()}
 	if !fresh {
 		s.Version--
@@ -813,6 +802,9 @@ func (e *Engine) Progressive(name string, a, b, chunks int) ([]ProgressiveStep, 
 	e.mu.RUnlock()
 
 	width := b - a + 1
+	// A chunk count at or above the width already reads one value per
+	// chunk; clamping it keeps the sizes below from overflowing.
+	chunks = min(chunks, width)
 	chunk := (width + chunks - 1) / chunks
 	steps := make([]ProgressiveStep, 0, chunks+1)
 	steps = append(steps, ProgressiveStep{Scanned: 0, Of: width, Estimate: s.Est.Estimate(a, b)})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -326,5 +327,17 @@ func TestProgressive(t *testing.T) {
 	// chunks <= 0 defaults sanely.
 	if steps, err := e.Progressive("m", 0, 31, 0); err != nil || len(steps) < 2 {
 		t.Errorf("default chunks: %v %v", len(steps), err)
+	}
+	// A chunk count above the width reads one value per chunk: the same
+	// width+1 steps as chunks = width, without sizing anything by it.
+	perValue, err := e.Progressive("m", 0, 31, 32)
+	if err != nil || len(perValue) != 33 {
+		t.Fatalf("chunks = width: %d steps, %v", len(perValue), err)
+	}
+	for _, chunks := range []int{1 << 40, math.MaxInt} {
+		steps, err := e.Progressive("m", 0, 31, chunks)
+		if err != nil || !slices.Equal(steps, perValue) {
+			t.Errorf("chunks = %d: %v, %v; want the %d steps of chunks = width", chunks, steps, err, len(perValue))
+		}
 	}
 }

@@ -150,13 +150,6 @@ func (h *Avg) Estimate(a, b int) float64 {
 	}
 }
 
-// BucketAvg returns the stored value of the bucket containing pos,
-// answering a point query per the classical histogram assumption of
-// uniformity within a bucket.
-func (h *Avg) BucketAvg(pos int) float64 {
-	return h.Values[h.Buckets.Find(pos)]
-}
-
 // String summarizes the histogram.
 func (h *Avg) String() string {
 	return fmt.Sprintf("%s{buckets=%d words=%d}", h.Label, h.Buckets.NumBuckets(), h.StorageWords())

@@ -8,11 +8,12 @@ package method
 // Two rigorous derivations cover every one-dimensional family (DESIGN.md
 // §6h):
 //
-//   - Prefix-decomposable families (the average-histogram family and both
-//     1-D wavelets): the prefix-error identity err(a,b) = e[b+1] − e[a]
-//     with e[t] = P[t] − Ĉ[t] reduces every range error to a difference of
-//     two pointwise cumulative errors. The model quantizes [0,n] into
-//     cells and stores the min/max of e per cell; the interval
+//   - Prefix-decomposable families (the average-histogram family, both
+//     1-D wavelets and SEGMENTED): the prefix-error identity
+//     err(a,b) = e[b+1] − e[a] with e[t] = P[t] − Ĉ[t] reduces every range
+//     error to a difference of two pointwise cumulative errors. The model
+//     quantizes [0,n] into cells and stores the min/max of e per cell; the
+//     interval
 //     [min_e(cell(b+1)) − max_e(cell(a)), max_e(cell(b+1)) − min_e(cell(a))]
 //     contains the true error, so its larger endpoint magnitude bounds it.
 //
@@ -69,22 +70,33 @@ func errCells(positions int) int {
 	return positions
 }
 
-// cellRange maps position t ∈ [0, positions) to its cell.
-func cellIndex(t, positions, cells int) int {
-	return t * cells / positions
+// cellRegion spreads positions [base, base+span) evenly over cells
+// [first, first+cells).
+type cellRegion struct {
+	base, span, first, cells int
 }
 
-// cellStats accumulates per-cell min/max over a positional array.
+func (r *cellRegion) cell(t int) int {
+	return r.first + (t-r.base)*r.cells/r.span
+}
+
+// cellStats accumulates per-cell min/max over a positional array. Its
+// regions tile the positions in order, and each region has cells of its
+// own, so no cell straddles a region edge.
 type cellStats struct {
-	positions int
-	cells     int
-	min, max  []float64
+	regions  []cellRegion
+	min, max []float64
 }
 
+// newCellStats lays out positions [0, positions) as one region.
 func newCellStats(positions int) *cellStats {
-	c := errCells(positions)
-	s := &cellStats{positions: positions, cells: c,
-		min: make([]float64, c), max: make([]float64, c)}
+	return newRegionStats([]cellRegion{{span: positions, cells: errCells(positions)}})
+}
+
+func newRegionStats(regions []cellRegion) *cellStats {
+	last := regions[len(regions)-1]
+	c := last.first + last.cells
+	s := &cellStats{regions: regions, min: make([]float64, c), max: make([]float64, c)}
 	for i := range s.min {
 		s.min[i] = math.Inf(1)
 		s.max[i] = math.Inf(-1)
@@ -92,8 +104,21 @@ func newCellStats(positions int) *cellStats {
 	return s
 }
 
-func (s *cellStats) add(t int, v float64) {
-	c := cellIndex(t, s.positions, s.cells)
+// cell maps position t to its cell: a binary search for the last region
+// starting at or before t, which a one-region layout skips.
+func (s *cellStats) cell(t int) int {
+	lo, hi := 0, len(s.regions)
+	for hi-lo > 1 {
+		if m := (lo + hi) / 2; s.regions[m].base <= t {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return s.regions[lo].cell(t)
+}
+
+func (s *cellStats) put(c int, v float64) {
 	if v < s.min[c] {
 		s.min[c] = v
 	}
@@ -102,8 +127,10 @@ func (s *cellStats) add(t int, v float64) {
 	}
 }
 
+func (s *cellStats) add(t int, v float64) { s.put(s.cell(t), v) }
+
 func (s *cellStats) at(t int) (lo, hi float64) {
-	c := cellIndex(t, s.positions, s.cells)
+	c := s.cell(t)
 	return s.min[c], s.max[c]
 }
 
@@ -138,18 +165,22 @@ type cumModel struct {
 	slack float64
 }
 
-func newCumModel(tab *prefix.Table, cum func(t int) float64, extraSlack float64) *cumModel {
-	n := tab.N()
-	st := newCellStats(n + 1)
+// newCumModel fills st's cells region by region with e[t], t ∈ [0, n].
+// It returns the model without its slack, and max|e|, which the slack
+// scales with.
+func newCumModel(tab *prefix.Table, cum func(t int) float64, st *cellStats) (*cumModel, float64) {
 	maxAbs := 0.0
-	for t := 0; t <= n; t++ {
-		e := tab.P[t] - cum(t)
-		st.add(t, e)
-		if a := math.Abs(e); a > maxAbs {
-			maxAbs = a
+	for i := range st.regions {
+		r := &st.regions[i]
+		for t := r.base; t < r.base+r.span; t++ {
+			e := tab.P[t] - cum(t)
+			st.put(r.cell(t), e)
+			if a := math.Abs(e); a > maxAbs {
+				maxAbs = a
+			}
 		}
 	}
-	return &cumModel{e: st, slack: extraSlack + fpSlack*(1+2*maxAbs)}
+	return &cumModel{e: st}, maxAbs
 }
 
 func (m *cumModel) Bound(a, b int) float64 {
@@ -252,7 +283,15 @@ func (m *sapModel) MaxBound() float64 {
 // rounded cumulative curve for RoundCumulative histograms (still exactly
 // decomposable), and a +0.5 absolute slack for RoundAnswer ones (the
 // answer differs from the cumulative difference by at most the rounding).
+// A SEGMENTED synopsis keeps its cells per segment (segmentCells), and
+// its slack covers the composed read's two extra roundings: the earlier
+// segments' total and the segment's own cumulative read.
 func errCumulative(tab *prefix.Table, est Estimator) (ErrorModel, error) {
+	if s, ok := est.(*segment.Segmented); ok {
+		m, maxAbs := newCumModel(tab, s.CumEstimate, segmentCells(s))
+		m.slack = fpSlack * (4 + 4*maxAbs)
+		return m, nil
+	}
 	type cumulative interface{ CumEstimate(t int) float64 }
 	c, ok := est.(cumulative)
 	if !ok {
@@ -268,7 +307,33 @@ func errCumulative(tab *prefix.Table, est Estimator) (ErrorModel, error) {
 			extra = 0.5
 		}
 	}
-	return newCumModel(tab, cum, extra), nil
+	m, maxAbs := newCumModel(tab, cum, newCellStats(tab.N()+1))
+	m.slack = extra + fpSlack*(1+2*maxAbs)
+	return m, nil
+}
+
+// segmentCells gives each segment of s one region: the positions whose
+// cumulative read it evaluates (position t ≥ 1 reads the segment holding
+// value t−1, and segment 0 also owns position 0), spread over an equal
+// share of maxErrCells, at least one and at most one per position. A
+// range endpoint on a segment edge thus reads only cells of the segment
+// that answers it, and one segment's error spread never widens a
+// neighbour's bounds.
+func segmentCells(s *segment.Segmented) *cellStats {
+	k := s.SegmentCount()
+	per := max(maxErrCells/k, 1)
+	regions := make([]cellRegion, k)
+	first := 0
+	for i := range regions {
+		lo, hi := s.SegmentBounds(i)
+		base, span := lo+1, hi-lo+1
+		if i == 0 {
+			base, span = 0, span+1
+		}
+		regions[i] = cellRegion{base: base, span: span, first: first, cells: min(per, span)}
+		first += regions[i].cells
+	}
+	return newRegionStats(regions)
 }
 
 // errSAP is the ErrorBound hook of the SAP families.
@@ -291,11 +356,19 @@ func errSAP(tab *prefix.Table, est Estimator) (ErrorModel, error) {
 // not known — e.g. one deserialized from the wire (cmd/synquery). It
 // dispatches on the representation the same way the descriptors do.
 func ErrorBoundFor(tab *prefix.Table, est Estimator) (ErrorModel, error) {
-	switch e := est.(type) {
+	switch est.(type) {
 	case *histogram.SAP0, *histogram.SAP1, *histogram.SAP2:
 		return errSAP(tab, est)
-	case *segment.Segmented:
-		return segment.NewErrorModel(tab, e), nil
 	}
 	return errCumulative(tab, est)
+}
+
+// ModelFor builds the error model of est, which method id built from the
+// data in tab, or returns nil when the method has no per-range model.
+func ModelFor(id ID, tab *prefix.Table, est Estimator) (ErrorModel, error) {
+	d, err := Lookup(id)
+	if err != nil || !d.Caps.Has(ErrorBounded) {
+		return nil, nil
+	}
+	return d.ErrorBound(tab, est)
 }

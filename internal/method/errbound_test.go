@@ -120,8 +120,8 @@ func TestErrorBoundForMatchesHooks(t *testing.T) {
 	const n = 80
 	counts := zipfish(n, 3)
 	tab := prefix.NewTable(counts)
-	for _, id := range []method.ID{method.SAP1, method.A0, method.WaveRangeOpt} {
-		est, err := build.Build(counts, build.Options{Method: id, BudgetWords: 20})
+	for _, id := range []method.ID{method.SAP1, method.A0, method.WaveRangeOpt, method.Segmented} {
+		est, err := build.Build(counts, build.Options{Method: id, BudgetWords: 20, Segments: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

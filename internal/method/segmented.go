@@ -78,13 +78,7 @@ func init() {
 			}
 			return segment.Merge(sa, sb)
 		},
-		ErrorBound: func(tab *prefix.Table, est Estimator) (ErrorModel, error) {
-			s, err := asSegmented(est)
-			if err != nil {
-				return nil, err
-			}
-			return segment.NewErrorModel(tab, s), nil
-		},
+		ErrorBound: errCumulative,
 		Rebuild: func(counts []int64, prev Estimator, lo, hi int, opt Opts) (Estimator, RebuildStats, error) {
 			s, err := asSegmented(prev)
 			if err != nil {

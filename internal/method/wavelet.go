@@ -5,9 +5,9 @@ package method
 // WAVE-RANGEOPT (range-optimal selection on the prefix-sum domain) and
 // WAVE-AA2D (the paper's §3 two-dimensional construction over the virtual
 // range-sum matrix). Coefficient synopses are not bucket partitions, so
-// the coarsen-lift and merge paths do not apply; the one-dimensional
-// members have exact O(log n)-per-update dynamic maintenance
-// (internal/stream).
+// the coarsen-lift and merge paths do not apply. Under updates a
+// one-dimensional wavelet is rebuilt from the current counts
+// (rangeagg.Dynamic does so on the first read after an update).
 
 import (
 	"rangeagg/internal/prefix"

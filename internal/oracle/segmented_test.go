@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 	"rangeagg/internal/prefix"
 	"rangeagg/internal/segment"
 )
@@ -109,28 +110,43 @@ func TestSegmentedAllocatorSanity(t *testing.T) {
 
 // TestSegmentedBoundCoversError checks the segmented error model's
 // certificate against brute force on every dataset and policy: for every
-// range, |exact − estimate| ≤ Bound.
+// range, |exact − estimate| ≤ Bound. It checks each synopsis as built,
+// and again after a one-value mutation and a window rebuild, against the
+// mutated data.
 func TestSegmentedBoundCoversError(t *testing.T) {
 	const n, w = 64, 26
+	d := method.MustLookup(method.Segmented)
+	covers := func(label string, counts []int64, est build.Estimator) {
+		t.Helper()
+		m, err := d.ErrorBound(prefix.NewTable(counts), est)
+		if err != nil {
+			t.Fatalf("%s: error model: %v", label, err)
+		}
+		for a := 0; a < n; a++ {
+			for b := a; b < n; b++ {
+				exact := float64(RangeSumRef(counts, a, b))
+				if e := math.Abs(est.Estimate(a, b) - exact); e > m.Bound(a, b) {
+					t.Fatalf("%s: range [%d,%d] error %g exceeds bound %g", label, a, b, e, m.Bound(a, b))
+				}
+			}
+		}
+	}
 	for dname, counts := range datasets(t, n) {
-		tab := prefix.NewTable(counts)
 		for _, policy := range []string{"equi-width", "weight-balanced"} {
 			est, err := build.Build(counts, build.Options{Method: build.Segmented,
 				BudgetWords: w, Segments: 4, SegmentPolicy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := est.(*segment.Segmented)
-			m := segment.NewErrorModel(tab, s)
-			for a := 0; a < n; a++ {
-				for b := a; b < n; b++ {
-					exact := float64(RangeSumRef(counts, a, b))
-					if e := math.Abs(s.Estimate(a, b) - exact); e > m.Bound(a, b) {
-						t.Fatalf("%s/%s: range [%d,%d] error %g exceeds bound %g",
-							dname, policy, a, b, e, m.Bound(a, b))
-					}
-				}
+			covers(dname+"/"+policy, counts, est)
+
+			mut := append([]int64(nil), counts...)
+			mut[40] += 500
+			next, _, err := segment.Rebuild(mut, est.(*segment.Segmented), 40, 40, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
+			covers(dname+"/"+policy+"/rebuilt", mut, next)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"rangeagg/internal/method"
 	"rangeagg/internal/obs"
 )
 
@@ -71,6 +72,17 @@ type Source struct {
 	Estimate func(a, b int) float64
 	// Bound returns the error certificate for the range.
 	Bound func(a, b int) (bound float64, rigorous bool, ok bool)
+}
+
+// NewSource makes the probe source of a synopsis: est answers, and em,
+// the error model built with it, certifies. A nil em certifies no range.
+func NewSource(name string, est method.Estimator, em method.ErrorModel) Source {
+	src := Source{Name: name, Words: est.StorageWords(), Estimate: est.Estimate,
+		Bound: func(int, int) (float64, bool, bool) { return 0, false, false }}
+	if em != nil {
+		src.Bound = func(a, b int) (float64, bool, bool) { return em.Bound(a, b), em.Rigorous(), true }
+	}
+	return src
 }
 
 // View is the planner's read-only picture of one metric at one snapshot

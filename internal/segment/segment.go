@@ -7,8 +7,8 @@
 // resulting Segmented estimator is prefix-decomposable — its cumulative
 // curve is the running composition of the per-segment curves — so range
 // answers compose across segment edges exactly and the prefix-error
-// identity yields a rigorous per-range error model organized per
-// segment.
+// identity yields a rigorous per-range error model (internal/method)
+// whose cells never straddle a segment edge.
 //
 // The package is representation-level only (like internal/histogram):
 // it knows nothing about the method registry. internal/method wires it

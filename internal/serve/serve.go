@@ -490,16 +490,11 @@ func (s *Server) rebuild(specs []engine.SynopsisSpec) error {
 			syn.ErrModel = prevSyns[i].ErrModel
 			continue
 		}
-		d, err := method.Lookup(syn.Options.Method)
-		if err != nil || !d.Caps.Has(method.ErrorBounded) {
-			continue
-		}
 		tab := snap.count
 		if syn.Metric == engine.Sum {
 			tab = snap.sum
 		}
-		syn, d, tab := syn, d, tab
-		mtasks = append(mtasks, func() { syn.ErrModel, _ = d.ErrorBound(tab, syn.Est) })
+		mtasks = append(mtasks, func() { syn.ErrModel, _ = method.ModelFor(syn.Options.Method, tab, syn.Est) })
 	}
 	if len(mtasks) > 0 {
 		parallel.Do(mtasks...)

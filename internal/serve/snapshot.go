@@ -142,18 +142,7 @@ func (s *Snapshot) buildViews() {
 			if syn.Metric != m {
 				continue
 			}
-			em := syn.ErrModel
-			v.Sources = append(v.Sources, plan.Source{
-				Name:     syn.Name,
-				Words:    syn.Est.StorageWords(),
-				Estimate: syn.Est.Estimate,
-				Bound: func(a, b int) (float64, bool, bool) {
-					if em == nil {
-						return 0, false, false
-					}
-					return em.Bound(a, b), em.Rigorous(), true
-				},
-			})
+			v.Sources = append(v.Sources, plan.NewSource(syn.Name, syn.Est, syn.ErrModel))
 		}
 		plan.OrderSources(v.Sources)
 		s.views[m] = v

@@ -232,6 +232,13 @@ progressive h 0 31 4
 	if !strings.Contains(out, "scanned   32/32") {
 		t.Errorf("missing final exact step:\n%s", out)
 	}
+	// 2^40 chunks over 32 values answer like one chunk per value.
+	script := "gen zipf 32 1.5 200 1\nbuild h count A0 8\nprogressive h 0 31 "
+	if huge, perValue := run(t, script+"1099511627776"), run(t, script+"32"); huge != perValue {
+		t.Errorf("2^40 chunks:\n%s\nwant the output of 32 chunks:\n%s", huge, perValue)
+	} else if n := strings.Count(huge, "scanned"); n != 33 {
+		t.Errorf("32 chunks gave %d steps, want 33", n)
+	}
 	var buf bytes.Buffer
 	sh := New(&buf)
 	mustFail(t, sh, "progressive h 0 3 2") // no engine

@@ -3,10 +3,12 @@ package rangeagg
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/histogram"
 	"rangeagg/internal/method"
 )
 
@@ -195,6 +197,48 @@ func TestReoptViaFacade(t *testing.T) {
 	}
 	if SSE(counts, re) > SSE(counts, plain)+1e-6 {
 		t.Error("reopt increased SSE")
+	}
+}
+
+// TestReoptForWorkload re-optimizes an A0 synopsis of the paper's data
+// for a short-range workload: the workload's SSE does not grow, buckets
+// no query overlaps keep their values, and a SAP0 synopsis is refused.
+func TestReoptForWorkload(t *testing.T) {
+	counts := PaperCounts()
+	syn, err := Build(counts, Options{Method: A0, BudgetWords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := ShortRanges(len(counts), 20, 8, 5)
+	re, err := ReoptForWorkload(counts, syn, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := Evaluate(counts, syn, queries).SSE, Evaluate(counts, re, queries).SSE
+	if after > before*(1+1e-12) {
+		t.Errorf("workload SSE grew from %g to %g", before, after)
+	}
+	in, out := syn.(*histogram.Avg), re.(*histogram.Avg)
+	untouched := 0
+	for j := 0; j < in.Buckets.NumBuckets(); j++ {
+		lo, hi := in.Buckets.Bounds(j)
+		if slices.ContainsFunc(queries, func(q Range) bool { return q.A <= hi && q.B >= lo }) {
+			continue
+		}
+		untouched++
+		if out.Values[j] != in.Values[j] {
+			t.Errorf("untouched bucket %d: value %g, want %g", j, out.Values[j], in.Values[j])
+		}
+	}
+	if untouched == 0 || untouched == in.Buckets.NumBuckets() {
+		t.Fatalf("%d of %d buckets untouched; the workload must touch some and miss some", untouched, in.Buckets.NumBuckets())
+	}
+	sap, err := Build(counts, Options{Method: SAP0, BudgetWords: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReoptForWorkload(counts, sap, queries); err == nil {
+		t.Error("ReoptForWorkload accepted a SAP0 synopsis")
 	}
 }
 
